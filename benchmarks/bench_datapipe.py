@@ -9,7 +9,9 @@ never slower); (b) the overlap changes *nothing* numerically — the batch
 permutation and sampler draws come from the same RNG streams, so the
 per-batch loss sequence is bit-identical; (c) the prefetch thread is
 reaped on every exit path (no live ``repro-datapipe-prefetch`` threads
-after an epoch).
+after an epoch); (d) the producer actually gets ahead — a prefetch hit
+ratio of 0.0 means every batch was waited for, which is what a GIL-bound
+Python sampling loop produced before the samplers went array-at-a-time.
 
 The cold-tier latency is modelled with an explicit per-row sleep in the
 FeatureFetcher (sleeps release the GIL, so the producer/consumer overlap
@@ -42,14 +44,15 @@ PREFETCH_DEPTH = 2
 
 
 def _config(smoke: bool) -> dict:
-    # Tuned so feature fetch is ~35% of the synchronous step and the
-    # producer (sample+compact+fetch) roughly balances the consumer's
-    # forward/backward — the regime where overlap pays the most.
+    # Tuned so feature fetch is ~40% of the synchronous step and the
+    # producer (sample+compact+fetch, now almost all fetch) takes 0.6-0.7x
+    # the consumer's forward/backward: the consumer is the bottleneck, so
+    # the hit ratio is high, not a coin flip between two balanced sides.
     if smoke:
         return dict(n_nodes=600, batch=48, fanouts=[4, 4, 4], hidden=384,
-                    io_delay=40e-6, timed_epochs=1)
+                    io_delay=22e-6, timed_epochs=1)
     return dict(n_nodes=1200, batch=64, fanouts=[5, 5, 5], hidden=384,
-                io_delay=25e-6, timed_epochs=2)
+                io_delay=18e-6, timed_epochs=2)
 
 
 def _build(graph, split, cfg, depth: int):
@@ -181,6 +184,10 @@ def run(smoke: bool) -> dict:
 
     assert losses_equal, "prefetch changed the numbers"
     assert threads_leaked == 0, "prefetch thread leaked past close()"
+    assert hit_ratio > 0.0, (
+        "prefetch hit ratio 0.0: the producer never got ahead of the "
+        "consumer (a GIL-bound sampling/compaction loop is back?)"
+    )
     assert fetch_fraction >= FETCH_FRACTION_BOUND, (
         f"workload too compute-bound for the claim: fetch is only "
         f"{fetch_fraction:.0%} of step time"

@@ -33,6 +33,16 @@ layer as a :class:`LayerSample` (global column ids, no dedup), and
 convenience loop over both. Zero-degree destinations are never dropped:
 they keep a self-connection of weight 1.0, so isolated nodes retain
 their own features instead of aggregating to zero.
+
+Both steps are array-at-a-time over the graph's CSR arrays, with no Python
+work per destination or per arc (a prefetch thread cannot get ahead of a
+GIL-bound producer). The node-wise samplers gather whole CSR slices
+through one ``repeat``/``arange`` index; :class:`NeighborSampler` draws
+the ``fanout``-subsets of all high-degree rows together (Floyd's algorithm
+looped over ``fanout``, not over nodes); :func:`compact_layer` dedups by
+scattering positions into a per-call id table instead of sorting. The
+per-element loops they replaced are the oracles in
+``tests/reference_samplers.py``.
 """
 
 from __future__ import annotations
@@ -122,39 +132,92 @@ def compact_layer(dst_ids: np.ndarray, layer: LayerSample) -> Block:
     indices. The cross-hop dedup step: feeding ``block.src_ids`` to the
     next layer's sampler means a node referenced by many destinations is
     sampled (and its features fetched) once.
+
+    Sort-free and stateless (a prefetch thread runs it): positions are
+    scattered into an id-indexed table allocated per call. NumPy applies
+    the repeated indices of one assignment in order, the last value
+    staying, so scattering in reverse leaves each id's *first* position.
     """
     dst_ids = np.asarray(dst_ids, dtype=np.int64)
-    pos: dict[int, int] = {int(v): i for i, v in enumerate(dst_ids)}
-    src_list = list(dst_ids)
-    cols: list[int] = []
-    for g in map(int, layer.cols_global):
-        idx = pos.get(g)
-        if idx is None:
-            idx = len(src_list)
-            pos[g] = idx
-            src_list.append(g)
-        cols.append(idx)
+    cols_global = np.asarray(layer.cols_global, dtype=np.int64)
+    if min(dst_ids.min(initial=0), cols_global.min(initial=0)) < 0:
+        raise GraphError("node ids must be non-negative")
+    n_dst, at = len(dst_ids), np.arange(len(cols_global))
+    table = np.empty(
+        max(dst_ids.max(initial=-1), cols_global.max(initial=-1)) + 1,
+        dtype=np.int64,
+    )
+    table[cols_global[::-1]] = n_dst + at[::-1]
+    table[dst_ids] = np.arange(n_dst)
+    # A dst id now maps to its index, any other to n_dst + first position.
+    new_ids = cols_global[table[cols_global] == n_dst + at]
+    table[new_ids] = n_dst + np.arange(len(new_ids))
+    src_ids = np.concatenate([dst_ids, new_ids])
     matrix = sp.csr_matrix(
-        (layer.vals, (layer.rows, cols)), shape=(len(dst_ids), len(src_list))
+        (layer.vals, (layer.rows, table[cols_global])),
+        shape=(n_dst, len(src_ids)),
     )
-    return Block(np.asarray(src_list, dtype=np.int64), dst_ids, matrix)
+    return Block(src_ids, dst_ids, matrix)
 
 
-def _build_block(
-    dst_ids: np.ndarray,
-    rows: list[int],
-    cols_global: list[int],
-    vals: list[float],
-) -> Block:
-    """Assemble a block; src = dst prefix + newly referenced nodes."""
-    return compact_layer(
-        np.asarray(dst_ids, dtype=np.int64),
-        LayerSample(
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols_global, dtype=np.int64),
-            np.asarray(vals, dtype=np.float64),
-        ),
+def _check_node_ids(ids, n_nodes: int) -> np.ndarray:
+    """``ids`` as a 1-D int64 array inside ``[0, n_nodes)``.
+
+    Fancy indexing would wrap a negative id through ``indptr[-1]`` and an
+    int64 cast would truncate a float, so both are rejected at the edge.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise GraphError(f"node ids must be one-dimensional, got shape {ids.shape}")
+    if ids.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if ids.dtype.kind not in "iu":
+        raise GraphError(f"node ids must be integers, got dtype {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= n_nodes:
+        raise GraphError(f"node ids outside [0, {n_nodes})")
+    return ids.astype(np.int64, copy=False)
+
+
+def _segment_arange(counts: np.ndarray) -> np.ndarray:
+    """``[0..c_0), [0..c_1), ...`` concatenated: every element's offset
+    inside its own segment of a ragged expansion."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _emit_layer(
+    dst: np.ndarray,
+    isolated: np.ndarray,
+    n_out: np.ndarray,
+    neighbours: np.ndarray,
+    weight: np.ndarray,
+) -> LayerSample:
+    """Rows grouped by destination: ``n_out[i]`` arcs of ``weight[i]`` each.
+
+    ``neighbours`` fills the connected rows in order; an isolated one
+    (``n_out`` 1, ``weight`` 1.0) keeps its own id as the only source.
+    """
+    cols = np.repeat(dst, n_out)
+    cols[np.repeat(~isolated, n_out)] = neighbours
+    return LayerSample(
+        np.repeat(np.arange(len(dst)), n_out), cols, np.repeat(weight, n_out)
     )
+
+
+def _draw_subsets(rng: np.random.Generator, sizes: np.ndarray, k: int) -> np.ndarray:
+    """``k`` distinct offsets in ``[0, sizes[i])`` for every row ``i`` at once.
+
+    Floyd's subset algorithm, looped over ``k`` rather than over rows:
+    round ``j`` draws ``t`` uniform on ``[0, size - k + j]`` and takes it,
+    or the round's upper end when ``t`` was taken before. Every
+    ``k``-subset is equally likely (exactly uniform without replacement).
+    """
+    picks = np.empty((len(sizes), k), dtype=np.int64)
+    for j in range(k):
+        top = sizes - k + j
+        t = rng.integers(0, top + 1)
+        taken = (picks[:, :j] == t[:, None]).any(axis=1)
+        picks[:, j] = np.where(taken, top, t)
+    return picks
 
 
 class BlockSampler:
@@ -170,15 +233,15 @@ class BlockSampler:
     given the same RNG stream.
     """
 
+    graph: Graph
     n_layers: int
 
     def sample_layer(self, dst: np.ndarray, layer: int) -> LayerSample:
         raise NotImplementedError
 
     def sample(self, seeds: np.ndarray) -> list[Block]:
-        seeds = np.asarray(seeds, dtype=np.int64)
+        dst = _check_node_ids(seeds, self.graph.n_nodes)
         blocks: list[Block] = []
-        dst = seeds
         for layer in range(self.n_layers):
             raw = self.sample_layer(dst, layer)
             blocks.append(compact_layer(dst, raw))
@@ -214,31 +277,17 @@ class NeighborSampler(BlockSampler):
 
     def sample_layer(self, dst: np.ndarray, layer: int) -> LayerSample:
         fanout = self.fanouts[-1 - layer]
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for i, u in enumerate(dst):
-            neigh = self.graph.neighbors(int(u))
-            if len(neigh) == 0:
-                # Isolated destination: self-connection, weight 1.0.
-                rows.append(i)
-                cols.append(int(u))
-                vals.append(1.0)
-                continue
-            if len(neigh) > fanout:
-                chosen = self._rng.choice(neigh, size=fanout, replace=False)
-            else:
-                chosen = neigh
-            share = 1.0 / len(chosen)
-            for v in chosen:
-                rows.append(i)
-                cols.append(int(v))
-                vals.append(share)
-        return LayerSample(
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(vals, dtype=np.float64),
-        )
+        dst = _check_node_ids(dst, self.graph.n_nodes)
+        start = self.graph.indptr[dst]
+        deg = self.graph.indptr[dst + 1] - start
+        take = np.minimum(deg, fanout)
+        offset = _segment_arange(take)  # the whole slice when deg <= fanout
+        big = np.flatnonzero(deg > fanout)
+        slots = (np.cumsum(take) - take)[big, None] + np.arange(fanout)
+        offset[slots] = _draw_subsets(self._rng, deg[big], fanout)
+        neighbours = self.graph.indices[np.repeat(start, take) + offset]
+        n_out = np.maximum(take, 1)
+        return _emit_layer(dst, deg == 0, n_out, neighbours, 1.0 / n_out)
 
 
 class LaborSampler(BlockSampler):
@@ -275,43 +324,30 @@ class LaborSampler(BlockSampler):
 
     def sample_layer(self, dst: np.ndarray, layer: int) -> LayerSample:
         fanout = self.fanouts[-1 - layer]
-        neighborhoods = [self.graph.neighbors(int(u)) for u in dst]
-        nonempty = [n for n in neighborhoods if len(n)]
-        if nonempty:
-            candidates = np.unique(np.concatenate(nonempty))
-            variates = self._rng.random(len(candidates))
-        else:
-            candidates = np.empty(0, dtype=np.int64)
-            variates = np.empty(0, dtype=np.float64)
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for i, (u, neigh) in enumerate(zip(dst, neighborhoods)):
-            deg = len(neigh)
-            if deg == 0:
-                rows.append(i)
-                cols.append(int(u))
-                vals.append(1.0)
-                continue
-            c_u = min(1.0, fanout / deg)
-            # candidates is sorted-unique, so searchsorted is an exact
-            # index lookup: one shared variate per source in this layer.
-            r = variates[np.searchsorted(candidates, neigh)]
-            included = neigh[r <= c_u]
-            if len(included) == 0:
-                # Guarantee progress: keep the neighbour with the
-                # smallest variate (probability-1/deg event each).
-                included = neigh[[int(np.argmin(r))]]
-            weight = 1.0 / (deg * c_u)
-            for v in included:
-                rows.append(i)
-                cols.append(int(v))
-                vals.append(weight)
-        return LayerSample(
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(vals, dtype=np.float64),
-        )
+        dst = _check_node_ids(dst, self.graph.n_nodes)
+        start = self.graph.indptr[dst]
+        deg = self.graph.indptr[dst + 1] - start
+        connected = deg > 0
+        row = np.repeat(np.arange(len(dst)), deg)
+        neigh = self.graph.indices[np.repeat(start, deg) + _segment_arange(deg)]
+        # One shared variate per distinct candidate source in this layer.
+        candidates, which = np.unique(neigh, return_inverse=True)
+        r = self._rng.random(len(candidates))[which]
+        c = np.minimum(1.0, fanout / np.maximum(deg, 1))
+        keep = r <= c[row]
+        kept = np.bincount(row[keep], minlength=len(dst))
+        starved = connected & (kept == 0)
+        if starved.any():
+            # Guarantee progress: keep the neighbour with the smallest
+            # variate (probability-1/deg event each), the first on a tie.
+            seg = (np.cumsum(deg) - deg)[connected]
+            lowest = np.repeat(np.minimum.reduceat(r, seg), deg[connected])
+            at = np.where(r == lowest, np.arange(len(r)), len(r))
+            keep[np.minimum.reduceat(at, seg)[starved[connected]]] = True
+            kept[starved] = 1
+        n_out = np.where(connected, kept, 1)
+        weight = 1.0 / (np.maximum(deg, 1) * c)
+        return _emit_layer(dst, ~connected, n_out, neigh[keep], weight)
 
 
 class LayerSampler(BlockSampler):
@@ -339,6 +375,7 @@ class LayerSampler(BlockSampler):
 
     def sample_layer(self, dst: np.ndarray, layer: int) -> LayerSample:
         m = self.n_per_layer
+        dst = _check_node_ids(dst, self.graph.n_nodes)
         sampled = self._rng.choice(self.graph.n_nodes, size=m, p=self._q)
         uniq, counts = np.unique(sampled, return_counts=True)
         sub = self._ahat[dst][:, uniq].tocoo()
@@ -401,16 +438,17 @@ def random_walk_subgraph_sample(
     check_int_range("n_roots", n_roots, 1)
     check_int_range("walk_length", walk_length, 1)
     rng = as_rng(seed)
-    roots = rng.integers(0, graph.n_nodes, size=n_roots)
-    visited: set[int] = set(map(int, roots))
-    position = roots.copy()
+    position = rng.integers(0, graph.n_nodes, size=n_roots)
+    visited = [position.copy()]
     for _ in range(walk_length):
-        for i, u in enumerate(position):
-            neigh = graph.neighbors(int(u))
-            if len(neigh):
-                position[i] = int(neigh[rng.integers(len(neigh))])
-                visited.add(int(position[i]))
-    nodes = np.sort(np.fromiter(visited, dtype=np.int64))
+        # All walkers step together; one on a zero-degree node stays put.
+        start = graph.indptr[position]
+        deg = graph.indptr[position + 1] - start
+        moving = deg > 0
+        hop = rng.integers(0, deg[moving])
+        position[moving] = graph.indices[start[moving] + hop]
+        visited.append(position.copy())
+    nodes = np.unique(np.concatenate(visited))
     return nodes, graph.subgraph(nodes)
 
 

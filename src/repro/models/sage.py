@@ -39,7 +39,7 @@ class SAGEConv(Module):
             raise ShapeError(
                 f"operator columns {operator.shape[1]} != src rows {x_src.shape[0]}"
             )
-        x_dst = x_src.gather_rows(np.arange(n_dst))
+        x_dst = x_src.head_rows(n_dst)
         return self.self_linear(x_dst) + self.neigh_linear(spmm(operator, x_src))
 
 

@@ -325,21 +325,34 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
+    def head_rows(self, n: int) -> "Tensor":
+        """The first ``n`` rows ``self[:n]`` (a view); backward writes one
+        slice — ``gather_rows(np.arange(n))`` without the scatter-add."""
+        out_data = self.data[:n]
+
+        def backward(grad: np.ndarray) -> None:
+            full = np.zeros_like(self.data)
+            full[:n] = grad
+            self._accumulate(full)
+
+        return Tensor._make(out_data, (self,), backward)
+
 
 def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     """Sparse-constant × dense-tensor product ``matrix @ dense``.
 
     The sparse ``matrix`` (e.g. a normalised adjacency) is a constant of the
     computation; gradients flow only into ``dense`` as ``matrix.T @ grad``.
+    The transpose is built when a gradient arrives, so inference under
+    :func:`no_grad` and operands that require none never pay for it.
     This is the core primitive of message-passing GNN layers.
     """
     if not sp.issparse(matrix):
         raise TypeError("spmm expects a SciPy sparse matrix")
     mat = matrix.tocsr()
     out_data = mat @ dense.data
-    mat_t = mat.T.tocsr()
 
     def backward(grad: np.ndarray) -> None:
-        dense._accumulate(mat_t @ grad)
+        dense._accumulate(mat.T.tocsr() @ grad)
 
     return Tensor._make(out_data, (dense,), backward)

@@ -150,6 +150,17 @@ class TestReductions:
         a.gather_rows(np.array([0, 0, 2])).sum().backward()
         assert np.array_equal(a.grad[:, 0], [2.0, 0.0, 1.0])
 
+    def test_head_rows_equals_prefix_gather(self, rng):
+        data, weight = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+        a = Tensor(data, requires_grad=True)
+        b = Tensor(data, requires_grad=True)
+        head = a.head_rows(2)
+        assert np.array_equal(head.data, b.gather_rows(np.arange(2)).data)
+        (head * weight).sum().backward()
+        (b.gather_rows(np.arange(2)) * weight).sum().backward()
+        assert np.array_equal(a.grad, b.grad)
+        assert check_gradients(lambda t: (t.head_rows(2) * weight).sum(), [a])
+
 
 class TestSpmm:
     def test_forward_matches_dense(self, rng):
@@ -162,6 +173,23 @@ class TestSpmm:
         x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         spmm(mat, x).sum().backward()
         assert np.allclose(x.grad, mat.T.toarray() @ np.ones((4, 2)))
+
+    def test_transpose_built_only_when_a_gradient_arrives(self, rng, monkeypatch):
+        built = []
+        transpose = sp.csr_matrix.transpose
+        monkeypatch.setattr(
+            sp.csr_matrix, "transpose",
+            lambda self, *a, **k: built.append(1) or transpose(self, *a, **k),
+        )
+        mat = sp.random(4, 4, density=0.6, format="csr", random_state=2)
+        x = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        with no_grad():
+            spmm(mat, x)
+        spmm(mat, Tensor(x.data))  # an input-layer operand: no grad wanted
+        out = spmm(mat, x)
+        assert not built
+        out.sum().backward()
+        assert len(built) == 1
 
     def test_rejects_dense_matrix(self):
         with pytest.raises(TypeError):

@@ -3,20 +3,23 @@
 import numpy as np
 import pytest
 
+import reference_samplers as reference
 from repro.errors import ConfigError, GraphError
 from repro.editing.sampling import (
     HistoryCache,
     LaborSampler,
+    LayerSample,
     LayerSampler,
     NeighborSampler,
     aggregate_with_cache,
+    compact_layer,
     edge_subgraph_sample,
     estimate_aggregation_variance,
     node_subgraph_sample,
     random_walk_subgraph_sample,
     sample_neighbor_estimate,
 )
-from repro.graph import star_graph
+from repro.graph import Graph, star_graph
 from repro.graph.ops import normalized_adjacency
 
 
@@ -338,3 +341,267 @@ class TestBlockInvariants:
         blocks = NeighborSampler(ba_graph, [3, 3], seed=1).sample(np.arange(10))
         # layer k's destinations are layer k-1's sources (input-first order)
         assert np.array_equal(blocks[0].dst_ids, blocks[1].src_ids)
+
+
+# --------------------------------------------------------------------- #
+# Array-at-a-time kernels against the per-element loops they replaced
+# (tests/reference_samplers.py), sampler statistics, input hardening.
+# --------------------------------------------------------------------- #
+
+
+def _with_isolated(graph, n_extra):
+    """``graph`` plus ``n_extra`` zero-degree nodes appended."""
+    return Graph.from_edges(graph.edge_array(), graph.n_nodes + n_extra)
+
+
+def _assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+def _assert_same_layer(got, want):
+    _assert_same_arrays(
+        (got.rows, got.cols_global, got.vals),
+        (want.rows, want.cols_global, want.vals),
+    )
+
+
+def _assert_same_block(got, want):
+    assert got.matrix.shape == want.matrix.shape
+    _assert_same_arrays(
+        (got.src_ids, got.dst_ids, got.matrix.indptr, got.matrix.indices,
+         got.matrix.data),
+        (want.src_ids, want.dst_ids, want.matrix.indptr, want.matrix.indices,
+         want.matrix.data),
+    )
+
+
+def _layer(rows, cols, vals=None):
+    rows = np.asarray(rows, dtype=np.int64)
+    vals = np.ones(len(rows)) if vals is None else vals
+    return LayerSample(rows, np.asarray(cols, dtype=np.int64),
+                       np.asarray(vals, dtype=np.float64))
+
+
+class TestCompactLayerOracle:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_layers_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n_ids, n_dst, nnz = 200, int(rng.integers(1, 40)), int(rng.integers(0, 300))
+        dst = rng.permutation(n_ids)[:n_dst]
+        layer = _layer(
+            np.sort(rng.integers(0, n_dst, nnz)),
+            rng.integers(0, n_ids, nnz),  # repeats, some inside dst
+            rng.random(nnz),
+        )
+        _assert_same_block(
+            compact_layer(dst, layer), reference.compact_layer(dst, layer)
+        )
+
+    @pytest.mark.parametrize(
+        "dst, rows, cols",
+        [
+            ([5, 2, 9], [0, 0, 1, 2, 2], [7, 7, 7, 7, 7]),  # all-duplicate columns
+            ([5, 2, 9], [0, 1, 1, 2], [9, 5, 2, 5]),  # columns inside dst
+            ([5, 2, 9], [], []),  # empty layer
+            ([], [], []),  # nothing at all: a 0x0 block
+            ([4, 8], [0, 1], [4, 8]),  # isolated-only: each row its own id
+            ([3, 6, 3], [0, 1, 2], [3, 1, 6]),  # repeated dst: the dict kept the last
+        ],
+    )
+    def test_edge_cases_bitwise(self, dst, rows, cols):
+        dst, layer = np.asarray(dst, dtype=np.int64), _layer(rows, cols)
+        got = compact_layer(dst, layer)
+        _assert_same_block(got, reference.compact_layer(dst, layer))
+        assert got.matrix.shape == (len(dst), len(got.src_ids))
+
+    @pytest.mark.parametrize("which", ["neighbor", "labor", "layer"])
+    def test_pipeline_layers_bitwise(self, ba_graph, which):
+        graph = _with_isolated(ba_graph, 6)
+        if which == "layer":
+            sampler = LayerSampler(graph, n_layers=2, n_per_layer=30, seed=3)
+        else:
+            cls = NeighborSampler if which == "neighbor" else LaborSampler
+            sampler = cls(graph, [3, 3], seed=3)
+        dst = np.random.default_rng(3).permutation(graph.n_nodes)[:30]
+        for layer in range(2):
+            raw = sampler.sample_layer(dst, layer)
+            block = compact_layer(dst, raw)
+            _assert_same_block(block, reference.compact_layer(dst, raw))
+            dst = block.src_ids
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(GraphError):
+            compact_layer(np.array([0, 1]), _layer([0], [-1]))
+
+
+class TestLaborOracle:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_bitwise_and_same_generator_state(self, ba_graph, seed):
+        graph = _with_isolated(ba_graph, 8)
+        # Fan-out 2 on a power-law graph starves rows often enough to
+        # exercise the smallest-variate fallback on most seeds.
+        fanout = 2 + seed % 3
+        dst = np.random.default_rng(seed).permutation(graph.n_nodes)[:48]
+        sampler = LaborSampler(graph, [fanout], seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(2):  # the second call continues both streams
+            _assert_same_layer(
+                sampler.sample_layer(dst, 0),
+                reference.labor_sample_layer(graph, dst, fanout, rng),
+            )
+            assert sampler._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_fallback_row_is_exercised(self, ba_graph):
+        # Fan-out 1 on the hub: inclusion 1/deg each, so often nothing.
+        hub = int(np.argmax(ba_graph.degrees()))
+        neigh = ba_graph.neighbors(hub)
+        starved = 0
+        for seed in range(20):
+            got = LaborSampler(ba_graph, [1], seed=seed).sample_layer(
+                np.array([hub]), 0
+            )
+            _assert_same_layer(got, reference.labor_sample_layer(
+                ba_graph, np.array([hub]), 1, np.random.default_rng(seed)
+            ))
+            r = np.random.default_rng(seed).random(len(neigh))
+            if (r > 1 / len(neigh)).all():
+                starved += 1
+                assert got.cols_global.tolist() == [neigh[np.argmin(r)]]
+        assert starved >= 3
+
+    def test_isolated_only_draws_nothing(self):
+        graph = Graph.from_edges([(0, 1)], 5)
+        sampler = LaborSampler(graph, [2], seed=0)
+        before = sampler._rng.bit_generator.state
+        raw = sampler.sample_layer(np.array([3, 4, 2]), 0)
+        _assert_same_layer(raw, _layer([0, 1, 2], [3, 4, 2]))
+        assert sampler._rng.bit_generator.state == before
+
+
+class TestNeighborSamplerStructure:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_against_reference(self, ba_graph, seed):
+        graph, fanout = _with_isolated(ba_graph, 5), 4
+        dst = np.random.default_rng(seed).permutation(graph.n_nodes)[:60]
+        raw = NeighborSampler(graph, [fanout], seed=seed).sample_layer(dst, 0)
+        want = reference.neighbor_sample_layer(
+            graph, dst, fanout, np.random.default_rng(seed)
+        )
+        deg = graph.degrees().astype(np.int64)[dst]
+        count = np.bincount(raw.rows, minlength=len(dst))
+        assert np.array_equal(count, np.maximum(np.minimum(deg, fanout), 1))
+        assert np.all(np.diff(raw.rows) >= 0)  # grouped by destination
+        pairs = np.stack([raw.rows, raw.cols_global], axis=1)
+        assert len(np.unique(pairs, axis=0)) == len(pairs)
+        assert np.array_equal(raw.vals, 1.0 / count[raw.rows])
+        for i, u in enumerate(dst):
+            cols = raw.cols_global[raw.rows == i]
+            if deg[i] == 0:
+                assert cols.tolist() == [u]
+            elif deg[i] <= fanout:  # nothing to draw: the loop's exact output
+                assert np.array_equal(cols, want.cols_global[want.rows == i])
+            else:
+                assert np.isin(cols, graph.neighbors(int(u))).all()
+
+    def test_inclusion_frequency_is_fanout_over_degree(self, ba_graph):
+        fanout, n_draws = 3, 3000
+        deg = ba_graph.degrees().astype(np.int64)
+        nodes = np.flatnonzero(deg > fanout)[:12]
+        raw = NeighborSampler(ba_graph, [fanout], seed=0).sample_layer(
+            np.repeat(nodes, n_draws), 0
+        )
+        n = ba_graph.n_nodes
+        hits = np.bincount(
+            nodes[raw.rows // n_draws] * n + raw.cols_global, minlength=n * n
+        ).reshape(n, n)
+        for u in nodes:
+            p = fanout / deg[u]
+            sigma = np.sqrt(p * (1 - p) / n_draws)
+            freq = hits[u, ba_graph.neighbors(int(u))] / n_draws
+            assert np.abs(freq - p).max() < 4 * sigma
+            assert hits[u].sum() == fanout * n_draws  # and nothing else
+
+    @pytest.mark.parametrize("which", ["neighbor", "labor"])
+    def test_block_estimate_of_neighbour_mean_is_unbiased(self, ba_graph, rng, which):
+        fanout, n_draws = 4, 1500
+        feats = rng.normal(size=(ba_graph.n_nodes, 3))
+        seeds = np.argsort(ba_graph.degrees())[-6:]  # all deg > fanout
+        exact = np.stack([feats[ba_graph.neighbors(int(u))].mean(0) for u in seeds])
+        if which == "neighbor":
+            # Rows draw independently, so one call holds every repetition.
+            block = NeighborSampler(ba_graph, [fanout], seed=1).sample(
+                np.tile(seeds, n_draws)
+            )[0]
+            est = (block.matrix @ feats[block.src_ids]).reshape(n_draws, 6, 3)
+        else:
+            # LABOR couples rows of one call through the shared variates.
+            sampler = LaborSampler(ba_graph, [fanout], seed=1)
+            est = np.stack([
+                b.matrix @ feats[b.src_ids]
+                for b in (sampler.sample(seeds)[0] for _ in range(n_draws))
+            ])
+        # Unit-variance features: one estimate has variance <= 1/fanout
+        # (uniform) or <= 1/fanout per coordinate (Poisson), so the mean of
+        # n_draws sits within 5 sigma = 5 / sqrt(fanout * n_draws) = 0.065.
+        assert np.abs(est.mean(axis=0) - exact).max() < 5 / np.sqrt(fanout * n_draws)
+
+
+class TestSamplerInputHardening:
+    SAMPLERS = {
+        "neighbor": lambda g: NeighborSampler(g, [3, 3], seed=0),
+        "labor": lambda g: LaborSampler(g, [3, 3], seed=0),
+        "layer": lambda g: LayerSampler(g, n_layers=2, n_per_layer=10, seed=0),
+    }
+
+    @pytest.mark.parametrize("which", SAMPLERS)
+    @pytest.mark.parametrize(
+        "bad", [[-1, 2], [0, 120], [0.0, 1.0], [True, False], [[0, 1]]]
+    )
+    def test_bad_seed_ids_rejected(self, ba_graph, which, bad):
+        sampler = self.SAMPLERS[which](ba_graph)
+        with pytest.raises(GraphError):
+            sampler.sample(np.asarray(bad))
+        with pytest.raises(GraphError):
+            sampler.sample_layer(np.asarray(bad), 0)
+
+    @pytest.mark.parametrize("which", SAMPLERS)
+    def test_empty_seeds_give_empty_blocks(self, ba_graph, which):
+        sampler = self.SAMPLERS[which](ba_graph)
+        assert sampler.sample_layer(np.array([], dtype=np.int64), 0).nnz == 0
+        blocks = sampler.sample([])
+        assert len(blocks) == 2
+        for b in blocks:
+            assert b.matrix.shape == (0, 0)
+            assert b.n_src == b.n_dst == 0
+
+    def test_small_integer_dtypes_accepted(self, ba_graph):
+        a = NeighborSampler(ba_graph, [3], seed=0).sample(np.arange(5, dtype=np.int32))
+        b = NeighborSampler(ba_graph, [3], seed=0).sample(list(range(5)))
+        _assert_same_block(a[0], b[0])
+        assert a[0].dst_ids.dtype == np.int64
+
+
+class TestRandomWalkSample:
+    def test_visited_nodes_reachable_within_walk_length(self, ba_graph):
+        graph = _with_isolated(ba_graph, 4)
+        for seed in range(5):
+            roots = np.random.default_rng(seed).integers(0, graph.n_nodes, size=6)
+            nodes, sub = random_walk_subgraph_sample(graph, 6, 3, seed=seed)
+            assert np.isin(roots, nodes).all()
+            assert np.isin(nodes, reference.nodes_within_hops(graph, roots, 3)).all()
+            assert len(nodes) <= 6 * (3 + 1)
+            assert np.array_equal(nodes, np.unique(nodes))
+            assert sub.n_nodes == len(nodes)
+
+    def test_walker_on_isolated_node_stays_put(self):
+        graph = Graph.from_edges([(0, 1)], 3)
+        for seed in range(8):
+            nodes, _ = random_walk_subgraph_sample(graph, 1, 4, seed=seed)
+            assert nodes.tolist() in ([0, 1], [2])
+
+    def test_fixed_seed_reproduces(self, ba_graph):
+        a, _ = random_walk_subgraph_sample(ba_graph, 5, 6, seed=9)
+        b, _ = random_walk_subgraph_sample(ba_graph, 5, 6, seed=9)
+        assert np.array_equal(a, b)
