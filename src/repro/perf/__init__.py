@@ -8,10 +8,13 @@ that reuse concrete:
 
 * :mod:`repro.perf.fingerprint` — content hashing of immutable graphs and
   arrays, the cache keys.
+* :mod:`repro.perf.bounded_cache` — :class:`BoundedCache`, the one
+  LRU-bounded, locked, hit/miss-counted memo every cache below is built
+  on.
 * :mod:`repro.perf.operator_cache` — :class:`OperatorCache`, LRU-bounded
   memoization of adjacency / normalized adjacency / Laplacian /
-  propagation operators (and their value-dtype variants) with hit/miss
-  accounting.
+  propagation operators (and their value-dtype variants, and the fused
+  wrapper of each adjacency) with hit/miss accounting.
 * :mod:`repro.perf.kernels` — hand-rolled CSR SpMM kernels: zero-copy
   row walk, L2-tiled column blocking (:class:`SpmmPlan`), the fused
   normalize+propagate :class:`FusedOperator`, and reusable
@@ -31,6 +34,7 @@ from repro.perf.arena import (
     get_default_arena,
     set_default_arena,
 )
+from repro.perf.bounded_cache import BoundedCache
 from repro.perf.fingerprint import array_fingerprint, graph_fingerprint
 from repro.perf.kernels import (
     DEFAULT_L2_BUDGET,
@@ -39,7 +43,6 @@ from repro.perf.kernels import (
     RowBand,
     SpmmPlan,
     blocked_spmm,
-    get_fused_operator,
     kernel_supported,
 )
 from repro.perf.operator_cache import (
@@ -66,6 +69,7 @@ from repro.perf.propagation import (
 __all__ = [
     "array_fingerprint",
     "graph_fingerprint",
+    "BoundedCache",
     "OperatorCache",
     "get_default_cache",
     "set_default_cache",
@@ -80,7 +84,6 @@ __all__ = [
     "FusedOperator",
     "RowBand",
     "blocked_spmm",
-    "get_fused_operator",
     "kernel_supported",
     "HAVE_SPARSETOOLS",
     "DEFAULT_L2_BUDGET",

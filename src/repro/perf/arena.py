@@ -25,13 +25,13 @@ operator-cache and propagation counters.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.storage.feature_cache import CacheStats
-from repro.utils.concurrency import NULL_LOCK, make_lock
 from repro.utils.validation import check_int_range
 
 DEFAULT_MAX_BYTES = 256 << 20  # 256 MiB of pooled (idle) buffers
@@ -51,23 +51,17 @@ class BufferArena:
         Maximum pooled buffers per ``(shape, dtype)`` key — bounds the
         damage of a loop that releases many identical buffers before
         renting any back.
-    threadsafe:
-        Guard the pool with a lock (default) so serving workers and the
-        training thread can share one arena. Pass ``False`` for a
-        lock-free single-threaded arena.
+
+    The pool is guarded by one lock, so serving workers and the training
+    thread share one arena.
     """
 
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        per_key: int = 4,
-        threadsafe: bool = True,
-    ) -> None:
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES, per_key: int = 4) -> None:
         check_int_range("max_bytes", max_bytes, 0)
         check_int_range("per_key", per_key, 1)
         self.max_bytes = max_bytes
         self.per_key = per_key
-        self._lock = make_lock(threadsafe)
+        self._lock = threading.RLock()
         self._pool: dict[tuple, list[np.ndarray]] = {}
         self._pooled_bytes = 0
         self._rents = 0
@@ -92,7 +86,7 @@ class BufferArena:
         """
         key = self._key(shape, dtype)
         buf = None
-        with self._lock or NULL_LOCK:
+        with self._lock:
             self._rents += 1
             bucket = self._pool.get(key)
             if bucket:
@@ -116,7 +110,7 @@ class BufferArena:
         writes is a use-after-free bug — the next renter scribbles over
         it.
         """
-        with self._lock or NULL_LOCK:
+        with self._lock:
             for arr in arrays:
                 self._releases += 1
                 if (
@@ -150,18 +144,18 @@ class BufferArena:
     @property
     def stats(self) -> CacheStats:
         """Reuse accounting: hits = pool reuses, misses = fresh allocations."""
-        with self._lock or NULL_LOCK:
+        with self._lock:
             return CacheStats(self._reuses, self._allocations, self._discards)
 
     @property
     def nbytes(self) -> int:
         """Bytes currently held by idle pooled buffers."""
-        with self._lock or NULL_LOCK:
+        with self._lock:
             return self._pooled_bytes
 
     def snapshot(self) -> dict[str, float]:
         """Flat counter/rate dict (:class:`repro.obs.StatsSource`)."""
-        with self._lock or NULL_LOCK:
+        with self._lock:
             rents = self._rents
             reuses = self._reuses
             return {
@@ -178,20 +172,20 @@ class BufferArena:
     def reset(self) -> None:
         """Zero the counters; pooled buffers stay resident
         (:meth:`clear` is the destructive variant)."""
-        with self._lock or NULL_LOCK:
+        with self._lock:
             self._rents = self._reuses = self._allocations = 0
             self._releases = self._discards = 0
 
     def clear(self) -> None:
         """Drop every pooled buffer and reset the counters."""
-        with self._lock or NULL_LOCK:
+        with self._lock:
             self._pool.clear()
             self._pooled_bytes = 0
             self._rents = self._reuses = self._allocations = 0
             self._releases = self._discards = 0
 
     def __len__(self) -> int:
-        with self._lock or NULL_LOCK:
+        with self._lock:
             return sum(len(b) for b in self._pool.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -36,14 +36,12 @@ gate, and anything else falls back to the legacy scipy path.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ConfigError
 from repro.perf.arena import BufferArena, get_default_arena
+from repro.perf.bounded_cache import BoundedCache
 from repro.utils.validation import check_int_range
 
 try:  # pragma: no cover - import guard
@@ -150,7 +148,7 @@ class SpmmPlan:
         if not operator.has_sorted_indices:
             raise ConfigError("SpmmPlan requires sorted CSR indices")
         check_int_range("col_block", col_block, 1)
-        self.operator = operator  # strong ref: keeps id()-keyed caching valid
+        self.operator = operator
         self.col_block = int(col_block)
         n_rows, n_cols = operator.shape
         self.shape = (int(n_rows), int(n_cols))
@@ -206,34 +204,23 @@ class SpmmPlan:
         )
 
 
-# Plans keyed by (id(operator), col_block); each plan holds a strong
-# reference to its operator, so a live entry's id cannot be recycled.
-_PLAN_CACHE: OrderedDict[tuple, SpmmPlan] = OrderedDict()
+# Plans keyed by operator identity and col_block. Built under the cache's
+# lock: plan construction is a per-operator one-off, and racing builders
+# would duplicate the nnz-sized copy.
 _PLAN_CACHE_MAX = 8
-_PLAN_LOCK = threading.Lock()
+_PLAN_CACHE = BoundedCache(_PLAN_CACHE_MAX)
 
 
 def get_plan(operator: sp.csr_matrix, col_block: int) -> SpmmPlan:
     """The (LRU-cached) column-tiling plan for a long-lived operator."""
-    key = (id(operator), int(col_block))
-    with _PLAN_LOCK:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None and plan.operator is operator:
-            _PLAN_CACHE.move_to_end(key)
-            return plan
-        # Built under the lock: plan construction is a per-operator
-        # one-off, and racing builders would duplicate the nnz-sized copy.
-        plan = SpmmPlan(operator, col_block)
-        _PLAN_CACHE[key] = plan
-        if len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-        return plan
+    return _PLAN_CACHE.get_or_build_for(
+        operator, lambda: SpmmPlan(operator, col_block), int(col_block)
+    )
 
 
 def clear_plans() -> None:
     """Drop every cached tiling plan (frees the tiled operator copies)."""
-    with _PLAN_LOCK:
-        _PLAN_CACHE.clear()
+    _PLAN_CACHE.clear()
 
 
 def _pick_col_block(n_cols: int, dense: np.ndarray, l2_budget: int) -> int:
@@ -383,27 +370,6 @@ class FusedOperator:
             f"FusedOperator(shape={self.shape}, nnz={self.nnz}, "
             f"dtype={self.dtype})"
         )
-
-
-# Fused wrappers keyed by adjacency identity (strong ref held inside).
-_FUSED_CACHE: OrderedDict[int, FusedOperator] = OrderedDict()
-_FUSED_CACHE_MAX = 8
-_FUSED_LOCK = threading.Lock()
-
-
-def get_fused_operator(adjacency: sp.csr_matrix) -> FusedOperator:
-    """The (LRU-cached) fused wrapper for a long-lived adjacency."""
-    key = id(adjacency)
-    with _FUSED_LOCK:
-        fused = _FUSED_CACHE.get(key)
-        if fused is not None and fused.adjacency is adjacency:
-            _FUSED_CACHE.move_to_end(key)
-            return fused
-        fused = FusedOperator(adjacency)
-        _FUSED_CACHE[key] = fused
-        if len(_FUSED_CACHE) > _FUSED_CACHE_MAX:
-            _FUSED_CACHE.popitem(last=False)
-        return fused
 
 
 class RowBand:

@@ -7,9 +7,10 @@ operator — derived deterministically from an *immutable* graph. Rebuilding
 them per model call is pure waste: the data-management argument of the
 paper is that precomputation should be shared. :class:`OperatorCache`
 memoizes operator construction keyed by the graph's content fingerprint,
-with LRU bounds and hit/miss/eviction accounting (reusing the
-:class:`~repro.storage.feature_cache.CacheStats` convention of the
-storage tier).
+with LRU bounds and hit/miss/eviction accounting (a
+:class:`~repro.perf.bounded_cache.BoundedCache`). The fused
+normalize+propagate wrapper of an adjacency lives in that adjacency's
+entry, so it is evicted and cleared together with the matrix it wraps.
 
 Cached matrices are returned *shared* between callers, with their
 underlying buffers flagged read-only so an accidental in-place mutation
@@ -19,21 +20,18 @@ raises instead of silently corrupting every other consumer. Call
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.errors import ConfigError
 from repro.graph import ops as graph_ops
 from repro.graph.core import Graph
-from repro.obs import OBS, get_logger
+from repro.perf.bounded_cache import BoundedCache
+from repro.perf.kernels import FusedOperator
 from repro.storage.feature_cache import CacheStats
-from repro.utils.concurrency import NULL_LOCK, make_lock
-from repro.utils.validation import check_int_range
-
-_LOG = get_logger("repro.perf.operator_cache")
 
 
 def _freeze(matrix: sp.csr_matrix) -> sp.csr_matrix:
@@ -69,6 +67,20 @@ def _cast_shared(matrix: sp.csr_matrix, dtype: np.dtype) -> sp.csr_matrix:
     return cast
 
 
+class _Entry:
+    """One cached operator, built and frozen on a miss, plus its fused
+    wrapper once one is asked for."""
+
+    __slots__ = ("matrix", "fused")
+
+    def __init__(self, key: tuple, builder: Callable[[], sp.spmatrix]) -> None:
+        with obs.span("perf.operator_build", op=key[1], kind=str(key[2])) as span:
+            self.matrix = _freeze(builder().tocsr())
+            if span:
+                span.set(nnz=int(self.matrix.nnz), n_rows=int(self.matrix.shape[0]))
+        self.fused: FusedOperator | None = None
+
+
 class OperatorCache:
     """LRU-bounded memoization of graph operators keyed by content.
 
@@ -86,64 +98,25 @@ class OperatorCache:
     max_entries:
         Maximum number of cached operators; least-recently-used entries
         are evicted beyond this bound.
-    threadsafe:
-        Guard lookups/evictions with a reentrant lock (default) so
-        concurrent serving workers share one cache without torn LRU
-        state. Pass ``False`` for a lock-free single-threaded cache.
+
+    Lookups, evictions and builds run under one reentrant lock, so
+    concurrent serving workers share one cache and never build the same
+    operator twice; builds are registration-time events, not per-request
+    work.
     """
 
-    def __init__(self, max_entries: int = 64, threadsafe: bool = True) -> None:
-        check_int_range("max_entries", max_entries, 1)
+    def __init__(self, max_entries: int = 64) -> None:
+        self._store = BoundedCache(max_entries)
         self.max_entries = max_entries
-        self._store: OrderedDict[tuple, sp.csr_matrix] = OrderedDict()
-        self._lock = make_lock(threadsafe)
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     # ------------------------------------------------------------------ #
     # Core lookup
     # ------------------------------------------------------------------ #
 
-    def _lookup(self, key: tuple, builder: Callable[[], sp.spmatrix]) -> sp.csr_matrix:
-        if self._lock is None:
-            return self._lookup_impl(key, builder)
-        with self._lock:
-            # The build runs under the (reentrant) lock: concurrent
-            # requests for the same operator would otherwise build it
-            # twice, and builds are registration-time events, not
-            # per-request hot-path work.
-            return self._lookup_impl(key, builder)
-
-    def _lookup_impl(
-        self, key: tuple, builder: Callable[[], sp.spmatrix]
-    ) -> sp.csr_matrix:
-        cached = self._store.get(key)
-        if cached is not None:
-            self._hits += 1
-            self._store.move_to_end(key)
-            return cached
-        self._misses += 1
-        if OBS.enabled:
-            with OBS.tracer.span(
-                "perf.operator_build", op=key[1], kind=str(key[2])
-            ) as span:
-                matrix = _freeze(builder().tocsr())
-                span.set(nnz=int(matrix.nnz), n_rows=int(matrix.shape[0]))
-        else:
-            matrix = _freeze(builder().tocsr())
-        self._store[key] = matrix
-        if len(self._store) > self.max_entries:
-            evicted, _ = self._store.popitem(last=False)
-            self._evictions += 1
-            _LOG.debug("evicted operator %s/%s (LRU bound %d)",
-                       evicted[1], evicted[2], self.max_entries)
-        return matrix
-
-    def _typed(
-        self, key: tuple, builder: Callable[[], sp.spmatrix], dtype
-    ) -> sp.csr_matrix:
-        """The canonical operator, or its cached value-dtype variant.
+    def _entry(
+        self, key: tuple, builder: Callable[[], sp.spmatrix], dtype=None
+    ) -> _Entry:
+        """The canonical operator's entry, or its value-dtype variant's.
 
         ``dtype=None`` (and a dtype matching the canonical data) return
         the canonical entry — zero extra cost on the default path. Other
@@ -151,50 +124,67 @@ class OperatorCache:
         dtype token, built by casting ``data`` while sharing the frozen
         ``indices``/``indptr`` (and frozen themselves by the lookup).
         """
-        base = self._lookup(key, builder)
-        if dtype is None:
-            return base
-        dt = np.dtype(dtype)
-        if base.data.dtype == dt:
-            return base
-        return self._lookup(key + (dt.str,), lambda: _cast_shared(base, dt))
+        entry = self._store.get_or_build(key, lambda: _Entry(key, builder))
+        if dtype is None or entry.matrix.data.dtype == np.dtype(dtype):
+            return entry
+        dt, base = np.dtype(dtype), entry.matrix
+        return self._entry(key + (dt.str,), lambda: _cast_shared(base, dt))
 
     # ------------------------------------------------------------------ #
     # Operator accessors (mirror repro.graph.ops)
     # ------------------------------------------------------------------ #
 
-    def adjacency(
-        self, graph: Graph, self_loops: bool = False, dtype=None
-    ) -> sp.csr_matrix:
-        """Cached :func:`repro.graph.ops.adjacency_matrix`."""
+    def _adjacency_entry(self, graph: Graph, self_loops: bool, dtype) -> _Entry:
         key = (graph.fingerprint, "adjacency", None, bool(self_loops), None)
-        return self._typed(
+        return self._entry(
             key,
             lambda: graph_ops.adjacency_matrix(graph, self_loops=self_loops),
             dtype,
         )
+
+    def adjacency(
+        self, graph: Graph, self_loops: bool = False, dtype=None
+    ) -> sp.csr_matrix:
+        """Cached :func:`repro.graph.ops.adjacency_matrix`."""
+        return self._adjacency_entry(graph, self_loops, dtype).matrix
+
+    def fused_adjacency(
+        self, graph: Graph, self_loops: bool = False, dtype=None
+    ) -> FusedOperator:
+        """The fused :math:`D^{-1/2} A D^{-1/2}` wrapper over the cached
+        adjacency (:meth:`adjacency` with the same arguments).
+
+        Built once and kept in the adjacency's own entry: the lookup
+        counts exactly as :meth:`adjacency` does, and the wrapper goes
+        when that entry is evicted or cleared.
+        """
+        entry = self._adjacency_entry(graph, self_loops, dtype)
+        with self._store.lock:
+            if entry.fused is None:
+                entry.fused = FusedOperator(entry.matrix)
+            return entry.fused
 
     def normalized_adjacency(
         self, graph: Graph, kind: str = "sym", self_loops: bool = True, dtype=None
     ) -> sp.csr_matrix:
         """Cached :func:`repro.graph.ops.normalized_adjacency`."""
         key = (graph.fingerprint, "norm_adj", kind, bool(self_loops), None)
-        return self._typed(
+        return self._entry(
             key,
             lambda: graph_ops.normalized_adjacency(
                 graph, kind=kind, self_loops=self_loops
             ),
             dtype,
-        )
+        ).matrix
 
     def laplacian(
         self, graph: Graph, kind: str = "sym", dtype=None
     ) -> sp.csr_matrix:
         """Cached :func:`repro.graph.ops.laplacian_matrix`."""
         key = (graph.fingerprint, "laplacian", kind, None, None)
-        return self._typed(
+        return self._entry(
             key, lambda: graph_ops.laplacian_matrix(graph, kind=kind), dtype
-        )
+        ).matrix
 
     def propagation(
         self,
@@ -211,11 +201,11 @@ class OperatorCache:
             None,
             None if alpha is None else float(alpha),
         )
-        return self._typed(
+        return self._entry(
             key,
             lambda: graph_ops.propagation_matrix(graph, scheme=scheme, alpha=alpha),
             dtype,
-        )
+        ).matrix
 
     # ------------------------------------------------------------------ #
     # Introspection / management
@@ -224,48 +214,30 @@ class OperatorCache:
     @property
     def stats(self) -> CacheStats:
         """Hit/miss/eviction accounting since construction (or clear)."""
-        with self._lock or NULL_LOCK:
-            return CacheStats(self._hits, self._misses, self._evictions)
+        return self._store.stats
 
     @property
     def nbytes(self) -> int:
         """Total bytes held by cached operator buffers."""
-        with self._lock or NULL_LOCK:
-            return sum(
-                m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                for m in self._store.values()
-            )
+        return sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+            for m in (e.matrix for e in self._store.values())
+        )
 
     def snapshot(self) -> dict[str, float]:
         """Flat counter/rate dict (:class:`repro.obs.StatsSource`)."""
-        with self._lock or NULL_LOCK:
-            s = CacheStats(self._hits, self._misses, self._evictions)
-            entries = len(self._store)
-            nbytes = sum(
-                m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                for m in self._store.values()
-            )
-        return {
-            "hits": s.hits,
-            "misses": s.misses,
-            "evictions": s.evictions,
-            "accesses": s.accesses,
-            "hit_rate": s.hit_rate,
-            "entries": entries,
-            "nbytes": nbytes,
-        }
+        with self._store.lock:
+            return {**self._store.snapshot(), "nbytes": self.nbytes}
 
     def reset(self) -> None:
         """Zero the counters; cached operators stay resident
         (:meth:`clear` is the destructive variant)."""
-        with self._lock or NULL_LOCK:
-            self._hits = self._misses = self._evictions = 0
+        self._store.reset()
 
     def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock or NULL_LOCK:
-            self._store.clear()
-            self._hits = self._misses = self._evictions = 0
+        """Drop every entry (fused wrappers included) and reset the
+        counters."""
+        self._store.clear()
 
     def __len__(self) -> int:
         return len(self._store)

@@ -18,11 +18,12 @@ out-of-core systems (Ginex et al.), applied to in-memory precompute.
 and route eligible operands to the hand-rolled CSR kernels of
 :mod:`repro.perf.kernels` (zero-copy row walk, L2-tiled column
 blocking, decoded row bands). Unsupported dtypes or operator formats
-take the legacy per-chunk scipy slice path unchanged. For the
-``gcn``/``sym`` engines the per-hop multiply runs through a
+take the per-chunk scipy slice path. For the ``gcn``/``sym`` engines
+the per-hop multiply runs through a
 :class:`~repro.perf.kernels.FusedOperator` — normalization applied on
 the fly, the normalized operator never materialized — with scratch
-rented from :mod:`repro.perf.arena`.
+rented from :mod:`repro.perf.arena`; the operator cache keeps the
+wrapper in the entry of the adjacency it wraps.
 
 The engine is dtype-aware end to end: ``PropagationEngine(dtype=...)``
 (or a per-call ``propagate(..., dtype=...)`` override) selects float32
@@ -37,28 +38,25 @@ shorter request is served as a prefix slice.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 import scipy.sparse as sp
 
+from repro import obs
 from repro.errors import ConfigError
 from repro.graph.core import Graph
 from repro.obs import OBS
 from repro.perf import kernels
 from repro.perf.arena import BufferArena
+from repro.perf.bounded_cache import BoundedCache
 from repro.perf.fingerprint import array_fingerprint
 from repro.perf.operator_cache import OperatorCache, get_default_cache
 from repro.resilience.faults import FAULTS
 from repro.storage.feature_cache import CacheStats
-from repro.utils.concurrency import NULL_LOCK, make_lock
 from repro.utils.validation import check_int_range
 
 DEFAULT_CHUNK_ROWS = 16384
 
 _ENGINE_KINDS = ("gcn", "rw", "lazy", "col", "sym", "lap")
-
-_SPMM_KERNELS = ("auto", "blocked", "rowwalk", "slice")
 
 
 def _fire_hop_fault():
@@ -88,43 +86,26 @@ def chunked_spmm(
     operator: sp.spmatrix,
     dense: np.ndarray,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    kernel: str = "auto",
     l2_budget: int = kernels.DEFAULT_L2_BUDGET,
 ) -> np.ndarray:
     """``operator @ dense`` computed ``chunk_rows`` rows at a time.
 
     Numerically identical to the monolithic product (bitwise, for a
     sorted-indices CSR operator), with the transient working set bounded
-    regardless of graph size. ``kernel`` selects the implementation:
-
-    - ``"auto"`` (default): the hand-rolled kernels of
-      :mod:`repro.perf.kernels` when the operand pair qualifies
-      (:func:`~repro.perf.kernels.kernel_supported`), else the legacy
-      slice path — column-blocked via a cached
-      :class:`~repro.perf.kernels.SpmmPlan` for frozen operators whose
-      dense operand overflows ``l2_budget``, zero-copy row walk
-      otherwise.
-    - ``"blocked"`` / ``"rowwalk"``: force the kernel path (with / without
-      column-plan eligibility); raises :class:`ConfigError` if the
-      operands don't qualify.
-    - ``"slice"``: force the legacy per-chunk ``operator[start:stop] @
-      dense`` scipy path.
+    regardless of graph size. Operand pairs the hand-rolled kernels
+    accept (:func:`~repro.perf.kernels.kernel_supported`) run through
+    :func:`~repro.perf.kernels.blocked_spmm` — column-blocked via a
+    cached :class:`~repro.perf.kernels.SpmmPlan` for frozen operators
+    whose dense operand overflows ``l2_budget``, zero-copy row walk
+    otherwise. Everything else (CSC or integer operators, mixed dtypes,
+    non-contiguous dense operands) takes the per-chunk scipy
+    ``operator[start:stop] @ dense`` slice path.
     """
     check_int_range("chunk_rows", chunk_rows, 1)
-    if kernel not in _SPMM_KERNELS:
-        raise ConfigError(f"kernel must be one of {_SPMM_KERNELS}, got {kernel!r}")
     inj, action = _fire_hop_fault()
     dense = np.asarray(dense)
-    if kernel != "slice" and kernels.kernel_supported(operator, dense):
-        out = kernels.blocked_spmm(
-            operator, dense, chunk_rows, l2_budget=l2_budget,
-            plan="auto" if kernel in ("auto", "blocked") else "never",
-        )
-    elif kernel in ("blocked", "rowwalk"):
-        raise ConfigError(
-            f"kernel={kernel!r} requires a float32/float64 CSR operator "
-            "with a matching-dtype dense operand (see kernel_supported)"
-        )
+    if kernels.kernel_supported(operator, dense):
+        out = kernels.blocked_spmm(operator, dense, chunk_rows, l2_budget=l2_budget)
     else:
         n_rows = operator.shape[0]
         if n_rows <= chunk_rows:
@@ -273,12 +254,6 @@ class PropagationEngine:
     max_stacks:
         LRU bound on memoized hop stacks (each stack holds ``K+1`` dense
         ``(n, d)`` arrays, so this is the dominant memory knob).
-    threadsafe:
-        Serialize memoized propagation under a reentrant lock (default).
-        Stack construction is a registration-time event, not per-request
-        work, so serializing concurrent builders is the correct trade —
-        two threads racing the same key would otherwise both pay the
-        full K-hop SpMM and tear the LRU bookkeeping.
     dtype:
         Element type of every propagated stack: ``float64`` (default,
         the historical behaviour) or ``float32``, which halves the
@@ -294,6 +269,12 @@ class PropagationEngine:
     arena:
         Buffer arena the fused kernel rents scratch from; ``None`` uses
         the process-wide default arena.
+
+    Memoized propagation is serialized under the stack memo's reentrant
+    lock. Stack construction is a registration-time event, not
+    per-request work, so serializing concurrent builders is the correct
+    trade — two threads racing the same key would otherwise both pay the
+    full K-hop SpMM and tear the LRU bookkeeping.
     """
 
     def __init__(
@@ -301,7 +282,6 @@ class PropagationEngine:
         cache: OperatorCache | None = None,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         max_stacks: int = 8,
-        threadsafe: bool = True,
         dtype=np.float64,
         fused: bool = True,
         l2_budget: int = kernels.DEFAULT_L2_BUDGET,
@@ -317,12 +297,8 @@ class PropagationEngine:
         self.fused = bool(fused)
         self.l2_budget = l2_budget
         self._arena = arena
-        self._lock = make_lock(threadsafe)
-        self._stacks: OrderedDict[tuple, list[np.ndarray]] = OrderedDict()
-        self._feature_hashes: OrderedDict[int, tuple[np.ndarray, str]] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._stacks = BoundedCache(max_stacks)
+        self._feature_hashes = BoundedCache(4 * max_stacks)
 
     @staticmethod
     def _check_dtype(dtype) -> np.dtype:
@@ -380,11 +356,9 @@ class PropagationEngine:
         """What one hop multiplies by: a fused wrapper for the
         symmetric-normalized kinds, else the cached materialized operator."""
         if self.fused and kind in ("gcn", "sym") and kernels.HAVE_SPARSETOOLS:
-            adj = self.cache.adjacency(
+            return self.cache.fused_adjacency(
                 graph, self_loops=(kind == "gcn"), dtype=dtype
             )
-            if isinstance(adj, sp.csr_matrix) and adj.data.dtype == dtype:
-                return kernels.get_fused_operator(adj)
         return self.operator(graph, kind, alpha, dtype=dtype)
 
     def _apply_hop(self, operator, dense: np.ndarray) -> np.ndarray:
@@ -408,25 +382,16 @@ class PropagationEngine:
         """
         if features.flags.writeable:
             return array_fingerprint(features)
-        key = id(features)
-        entry = self._feature_hashes.get(key)
-        if entry is not None and entry[0] is features:
-            self._feature_hashes.move_to_end(key)
-            return entry[1]
-        digest = array_fingerprint(features)
-        # Holding a strong reference keeps the id from being recycled.
-        self._feature_hashes[key] = (features, digest)
-        if len(self._feature_hashes) > 4 * self.max_stacks:
-            self._feature_hashes.popitem(last=False)
-        return digest
+        return self._feature_hashes.get_or_build_for(
+            features, lambda: array_fingerprint(features)
+        )
 
-    def _traced_spmm(self, operator, dense: np.ndarray, hop: int) -> np.ndarray:
-        """One hop of SpMM under a ``perf.spmm`` kernel span.
-
-        Only reached when observability is enabled — the disabled path
-        calls :meth:`_apply_hop` directly behind a single
-        ``OBS.enabled`` check.
-        """
+    def _hop(self, operator, dense: np.ndarray, hop: int) -> np.ndarray:
+        """One hop of SpMM, under a ``perf.spmm`` kernel span when
+        observability is enabled (a single ``OBS.enabled`` check when it
+        is not)."""
+        if not OBS.enabled:
+            return self._apply_hop(operator, dense)
         with OBS.tracer.span(
             "perf.spmm", hop=hop, nnz=int(operator.nnz),
             chunk_rows=self.chunk_rows,
@@ -471,26 +436,19 @@ class PropagationEngine:
                 f"({graph.n_nodes}), got {features.shape[0]}"
             )
         if not memoize:
-            if OBS.enabled:
-                with OBS.tracer.span(
-                    "perf.propagate", n_nodes=graph.n_nodes, k=k, kind=kind,
-                    memoize=False, dtype=eff_dtype.name,
-                ):
-                    operator = self._hop_operator(graph, kind, alpha, eff_dtype)
-                    stack = [features]
-                    for _ in range(k):
-                        stack.append(self._traced_spmm(operator, stack[-1],
-                                                       len(stack)))
-            else:
+            with obs.span(
+                "perf.propagate", n_nodes=graph.n_nodes, k=k, kind=kind,
+                memoize=False, dtype=eff_dtype.name,
+            ):
                 operator = self._hop_operator(graph, kind, alpha, eff_dtype)
                 stack = [features]
                 for _ in range(k):
-                    stack.append(self._apply_hop(operator, stack[-1]))
+                    stack.append(self._hop(operator, stack[-1], len(stack)))
             return stack
-        # Memoized path: the whole lookup-or-build runs under the lock
-        # (see the ``threadsafe`` parameter note) so concurrent callers
-        # never duplicate a build or tear the LRU order.
-        with self._lock or NULL_LOCK:
+        # Memoized path: the whole lookup-or-build runs under the stack
+        # memo's lock so concurrent callers never duplicate a build or
+        # tear the LRU order.
+        with self._stacks.lock:
             return self._propagate_memoized(
                 graph, features, k, kind, alpha, eff_dtype
             )
@@ -513,46 +471,33 @@ class PropagationEngine:
         )
         stack = self._stacks.get(key)
         if stack is not None and len(stack) > k:
-            self._hits += 1
-            self._stacks.move_to_end(key)
-            if OBS.enabled:
-                with OBS.tracer.span(
-                    "perf.propagate", n_nodes=graph.n_nodes, k=k, kind=kind,
-                    cache_hit=True,
-                ):
-                    pass
-            return list(stack[: k + 1])
-        self._misses += 1
+            self._stacks.hits += 1
+            with obs.span(
+                "perf.propagate", n_nodes=graph.n_nodes, k=k, kind=kind,
+                cache_hit=True,
+            ):
+                return list(stack[: k + 1])
+        self._stacks.misses += 1
         if stack is None:
             base = features if not features.flags.writeable else features.copy()
             base.setflags(write=False)
             stack = [base]
         if len(stack) <= k:
-            if OBS.enabled:
-                with OBS.tracer.span(
-                    "perf.propagate", n_nodes=graph.n_nodes, k=k, kind=kind,
-                    cached_hops=len(stack) - 1, dtype=eff_dtype.name,
-                ) as span:
-                    operator = self._hop_operator(graph, kind, alpha, eff_dtype)
-                    span.set(nnz=int(operator.nnz))
-                    while len(stack) <= k:
-                        nxt = self._traced_spmm(operator, stack[-1], len(stack))
-                        nxt.setflags(write=False)
-                        stack.append(nxt)
-                    span.set(
-                        stack_bytes=int(sum(arr.nbytes for arr in stack))
-                    )
-            else:
+            with obs.span(
+                "perf.propagate", n_nodes=graph.n_nodes, k=k, kind=kind,
+                cached_hops=len(stack) - 1, dtype=eff_dtype.name,
+            ) as span:
                 operator = self._hop_operator(graph, kind, alpha, eff_dtype)
                 while len(stack) <= k:
-                    nxt = self._apply_hop(operator, stack[-1])
+                    nxt = self._hop(operator, stack[-1], len(stack))
                     nxt.setflags(write=False)
                     stack.append(nxt)
-        self._stacks[key] = stack
-        self._stacks.move_to_end(key)
-        if len(self._stacks) > self.max_stacks:
-            self._stacks.popitem(last=False)
-            self._evictions += 1
+                if span:
+                    span.set(
+                        nnz=int(operator.nnz),
+                        stack_bytes=int(sum(arr.nbytes for arr in stack)),
+                    )
+        self._stacks.put(key, stack)
         return list(stack)
 
     def hop_features(
@@ -576,47 +521,33 @@ class PropagationEngine:
     @property
     def stats(self) -> CacheStats:
         """Stack-cache hit/miss/eviction accounting."""
-        with self._lock or NULL_LOCK:
-            return CacheStats(self._hits, self._misses, self._evictions)
+        return self._stacks.stats
 
     @property
     def nbytes(self) -> int:
         """Total bytes held by memoized hop stacks."""
-        with self._lock or NULL_LOCK:
-            return sum(
-                arr.nbytes for stack in self._stacks.values() for arr in stack
-            )
+        return sum(
+            arr.nbytes for stack in self._stacks.values() for arr in stack
+        )
 
     def snapshot(self) -> dict[str, float]:
         """Flat counter/rate dict (:class:`repro.obs.StatsSource`)."""
-        with self._lock or NULL_LOCK:
-            s = CacheStats(self._hits, self._misses, self._evictions)
-            stacks = len(self._stacks)
-            nbytes = sum(
-                arr.nbytes for stack in self._stacks.values() for arr in stack
-            )
-        return {
-            "hits": s.hits,
-            "misses": s.misses,
-            "evictions": s.evictions,
-            "accesses": s.accesses,
-            "hit_rate": s.hit_rate,
-            "stacks": stacks,
-            "nbytes": nbytes,
-        }
+        with self._stacks.lock:
+            snap = self._stacks.snapshot()
+            snap["stacks"] = snap.pop("entries")
+            snap["nbytes"] = self.nbytes
+        return snap
 
     def reset(self) -> None:
         """Zero the counters; memoized stacks stay resident
         (:meth:`clear` is the destructive variant)."""
-        with self._lock or NULL_LOCK:
-            self._hits = self._misses = self._evictions = 0
+        self._stacks.reset()
 
     def clear(self) -> None:
         """Drop every memoized stack and reset the counters."""
-        with self._lock or NULL_LOCK:
+        with self._stacks.lock:
             self._stacks.clear()
             self._feature_hashes.clear()
-            self._hits = self._misses = self._evictions = 0
 
     def __len__(self) -> int:
         return len(self._stacks)

@@ -21,12 +21,12 @@ the cooldown deterministic under test.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from typing import Callable
 
 from repro import obs
-from repro.utils.concurrency import NULL_LOCK, make_lock
 from repro.utils.validation import check_fraction, check_int_range, check_positive
 
 _LOG = obs.get_logger("repro.resilience.breaker")
@@ -65,7 +65,6 @@ class CircuitBreaker:
         cooldown_s: float = 1.0,
         half_open_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
-        threadsafe: bool = True,
     ) -> None:
         check_fraction("failure_threshold", failure_threshold)
         check_int_range("window", window, 1)
@@ -78,7 +77,7 @@ class CircuitBreaker:
         self.cooldown_s = cooldown_s
         self.half_open_probes = half_open_probes
         self._clock = clock
-        self._lock = make_lock(threadsafe)
+        self._lock = threading.RLock()
         self._state = CLOSED
         self._outcomes: deque[bool] = deque(maxlen=window)  # True = failure
         self._opened_at = 0.0
@@ -91,7 +90,7 @@ class CircuitBreaker:
 
     @property
     def state(self) -> str:
-        with self._lock or NULL_LOCK:
+        with self._lock:
             return self._probe_state()
 
     def _probe_state(self) -> str:
@@ -117,7 +116,7 @@ class CircuitBreaker:
         Half-open grants at most ``half_open_probes`` in-flight probes;
         a refused request is counted in :attr:`rejected`.
         """
-        with self._lock or NULL_LOCK:
+        with self._lock:
             state = self._probe_state()
             if state == CLOSED:
                 return True
@@ -137,13 +136,13 @@ class CircuitBreaker:
         back, or a breaker with ``half_open_probes=1`` would wait
         forever for a probe verdict that can never arrive.
         """
-        with self._lock or NULL_LOCK:
+        with self._lock:
             if self._state == HALF_OPEN and self._probes_inflight > 0:
                 self._probes_inflight -= 1
 
     def record_success(self) -> None:
         """A permitted call completed; closes a half-open breaker."""
-        with self._lock or NULL_LOCK:
+        with self._lock:
             state = self._probe_state()
             if state == HALF_OPEN:
                 self._state = CLOSED
@@ -156,7 +155,7 @@ class CircuitBreaker:
 
     def record_failure(self) -> None:
         """A permitted call failed; may open (or reopen) the breaker."""
-        with self._lock or NULL_LOCK:
+        with self._lock:
             state = self._probe_state()
             if state == HALF_OPEN:
                 self._open()
@@ -187,7 +186,7 @@ class CircuitBreaker:
         would — the normal cooldown → half-open → probe recovery then
         applies unchanged.
         """
-        with self._lock or NULL_LOCK:
+        with self._lock:
             if self._state != OPEN:
                 _LOG.warning("breaker tripped externally (was %s)", self._state)
                 self._open()
@@ -199,7 +198,7 @@ class CircuitBreaker:
     def snapshot(self) -> dict[str, float]:
         """Flat counter dict (:class:`repro.obs.StatsSource`); ``state``
         uses :data:`STATE_CODES` (0 closed / 1 half-open / 2 open)."""
-        with self._lock or NULL_LOCK:
+        with self._lock:
             return {
                 "state": STATE_CODES[self._probe_state()],
                 "failure_rate": self._failure_rate(),
@@ -211,7 +210,7 @@ class CircuitBreaker:
 
     def reset(self) -> None:
         """Force-close and forget all history."""
-        with self._lock or NULL_LOCK:
+        with self._lock:
             self._state = CLOSED
             self._outcomes.clear()
             self._probes_inflight = 0

@@ -2,8 +2,14 @@
 
 The library's caches, queues, and counters were written single-threaded;
 :class:`repro.serving.runtime.ServingRuntime` runs them from a batcher
-thread plus a worker pool. This module provides the uniform locking
-pattern every shared-mutable component follows:
+thread plus a worker pool. Shared registration-time components
+(``perf.OperatorCache``, ``perf.PropagationEngine``, ``perf.BufferArena``,
+``resilience.CircuitBreaker``) always hold a plain lock and take no
+switch: they work per registration, hop or outcome, not per request.
+Request-path components (``BatchingQueue``, ``FeatureStore`` /
+``EmbeddingStore``, ``LatencyHistogram``, ``ServingEngine``) take
+``threadsafe=`` — benchmark E31 and the macro benchmark measure their
+lock-free path — and follow this pattern:
 
 * :func:`make_lock` returns a :class:`threading.RLock` when a component
   is constructed ``threadsafe=True`` and ``None`` otherwise. Hot paths

@@ -363,7 +363,7 @@ class TestPrimitiveThreadSafety:
 
     def test_operator_cache_builds_once_under_race(self, fast_switching):
         graph = _serving_graph(n_nodes=80, seed=4)
-        cache = OperatorCache(threadsafe=True)
+        cache = OperatorCache()
         mats = [None] * 8
 
         def lookup(tid):

@@ -33,7 +33,6 @@ from repro.perf import (
     chunked_spmm,
     fused_spmm,
     get_default_arena,
-    get_fused_operator,
     kernel_supported,
     rows_spmm,
     rows_spmm_multi,
@@ -208,28 +207,26 @@ class TestSpmmPlan:
 
 class TestChunkedSpmmDispatch:
     def test_kernel_paths_match_slice_path(self):
+        # The kernel path (row walk) and the slice path (a CSC operand,
+        # which the kernels reject) are both bitwise the scipy product.
         op = random_csr(250, 250, seed=11)
         x = dense_rhs(250, 6)
-        ref = chunked_spmm(op, x, chunk_rows=64, kernel="slice")
-        for kernel in ("auto", "blocked", "rowwalk"):
-            got = chunked_spmm(op, x, chunk_rows=64, kernel=kernel)
-            assert (got == ref).all(), kernel
+        ref = op @ x
+        assert kernel_supported(op, x)
+        assert (chunked_spmm(op, x, chunk_rows=64) == ref).all()
+        assert not kernel_supported(op.tocsc(), x)
+        assert (chunked_spmm(op.tocsc(), x, chunk_rows=64) == ref).all()
 
     def test_forced_kernel_rejects_unsupported_operand(self):
         op = random_csr(50, 50, seed=12)
         x32 = dense_rhs(50, 3, dtype=np.float32)
         with pytest.raises(ConfigError):
-            chunked_spmm(op, x32, kernel="blocked")
+            blocked_spmm(op, x32, chunk_rows=16)
         with pytest.raises(ConfigError):
-            chunked_spmm(op, x32, kernel="rowwalk")
-        # auto falls back to the legacy path instead of raising.
-        got = chunked_spmm(op, x32, kernel="auto")
+            blocked_spmm(op, x32, chunk_rows=16, plan="never")
+        # The dispatcher falls back to the slice path instead of raising.
+        got = chunked_spmm(op, x32, chunk_rows=16)
         assert np.allclose(got, op @ x32)
-
-    def test_unknown_kernel_name_rejected(self):
-        op = random_csr(10, 10, seed=13)
-        with pytest.raises(ConfigError):
-            chunked_spmm(op, dense_rhs(10, 2), kernel="warp")
 
 
 # --------------------------------------------------------------------- #
@@ -276,7 +273,7 @@ class TestFusedOperator:
     def test_scratch_rented_from_arena(self, ba_graph):
         adj = self._adjacency(ba_graph, self_loops=True)
         fused = FusedOperator(adj)
-        arena = BufferArena(threadsafe=False)
+        arena = BufferArena()
         x = dense_rhs(ba_graph.n_nodes, 4)
         fused.matmul(x, chunk_rows=64, arena=arena)
         fused.matmul(x, chunk_rows=64, arena=arena)
@@ -285,8 +282,14 @@ class TestFusedOperator:
         assert stats.hits >= 1
 
     def test_fused_cache_identity(self, ba_graph):
-        adj = self._adjacency(ba_graph, self_loops=True)
-        assert get_fused_operator(adj) is get_fused_operator(adj)
+        cache = OperatorCache()
+        fused = cache.fused_adjacency(ba_graph, self_loops=True)
+        assert cache.fused_adjacency(ba_graph, self_loops=True) is fused
+        assert fused.adjacency is cache.adjacency(ba_graph, self_loops=True)
+        # The wrapper rides on the adjacency's entry: no extra miss.
+        assert cache.stats.misses == 1 and len(cache) == 1
+        f32 = cache.fused_adjacency(ba_graph, self_loops=True, dtype=np.float32)
+        assert f32.dtype == np.float32 and f32 is not fused
 
     def test_rejects_non_csr_and_int_data(self):
         with pytest.raises(ConfigError):
@@ -415,7 +418,7 @@ class TestRowsSpmm:
 
 class TestBufferArena:
     def test_rent_release_reuses_buffer(self):
-        arena = BufferArena(threadsafe=False)
+        arena = BufferArena()
         a = arena.rent((8, 4))
         arena.release(a)
         b = arena.rent((8, 4))
@@ -424,28 +427,28 @@ class TestBufferArena:
         assert arena.stats.misses == 1
 
     def test_shape_and_dtype_keyed(self):
-        arena = BufferArena(threadsafe=False)
+        arena = BufferArena()
         a = arena.rent((8, 4))
         arena.release(a)
         assert arena.rent((4, 8)) is not a
         assert arena.rent((8, 4), dtype=np.float32) is not a
 
     def test_zero_fill_on_request(self):
-        arena = BufferArena(threadsafe=False)
+        arena = BufferArena()
         a = arena.rent((4,))
         a.fill(7.0)
         arena.release(a)
         assert not arena.rent((4,), zero=True).any()
 
     def test_per_key_bound_discards(self):
-        arena = BufferArena(per_key=2, threadsafe=False)
+        arena = BufferArena(per_key=2)
         bufs = [np.empty((3, 3)) for _ in range(4)]
         arena.release(*bufs)
         assert len(arena) == 2
         assert arena.stats.evictions == 2  # discards surface as evictions
 
     def test_max_bytes_bound(self):
-        arena = BufferArena(max_bytes=1024, threadsafe=False)
+        arena = BufferArena(max_bytes=1024)
         arena.release(np.empty(64))   # 512 B pooled
         arena.release(np.empty(64))   # 1024 B pooled
         arena.release(np.empty(64))   # would exceed -> discarded
@@ -453,7 +456,7 @@ class TestBufferArena:
         assert arena.stats.evictions == 1
 
     def test_views_and_readonly_buffers_discarded(self):
-        arena = BufferArena(threadsafe=False)
+        arena = BufferArena()
         base = np.empty((10, 10))
         arena.release(base[:5])          # view
         frozen = np.empty(4)
@@ -464,14 +467,14 @@ class TestBufferArena:
         assert arena.stats.evictions == 3
 
     def test_borrow_releases_even_on_error(self):
-        arena = BufferArena(threadsafe=False)
+        arena = BufferArena()
         with pytest.raises(RuntimeError):
             with arena.borrow((5,)):
                 raise RuntimeError("boom")
         assert len(arena) == 1
 
     def test_snapshot_and_reset_and_clear(self):
-        arena = BufferArena(threadsafe=False)
+        arena = BufferArena()
         arena.release(arena.rent((6,)))
         snap = arena.snapshot()
         assert snap["rents"] == 1 and snap["allocations"] == 1
@@ -500,7 +503,7 @@ class TestBufferArena:
 
 class TestOperatorCacheDtypes:
     def test_float32_variant_shares_frozen_structure(self, ba_graph):
-        cache = OperatorCache(threadsafe=False)
+        cache = OperatorCache()
         base = cache.adjacency(ba_graph, self_loops=True)
         f32 = cache.adjacency(ba_graph, self_loops=True, dtype=np.float32)
         assert f32.data.dtype == np.float32
@@ -514,20 +517,20 @@ class TestOperatorCacheDtypes:
             assert not mat.indptr.flags.writeable
 
     def test_default_dtype_returns_base_without_extra_entry(self, ba_graph):
-        cache = OperatorCache(threadsafe=False)
+        cache = OperatorCache()
         base = cache.adjacency(ba_graph, self_loops=False)
         assert cache.adjacency(ba_graph, self_loops=False, dtype=np.float64) is base
         assert len(cache) == 1  # no variant entry for the native dtype
         assert cache.stats.misses == 1
 
     def test_variant_cached_once(self, ba_graph):
-        cache = OperatorCache(threadsafe=False)
+        cache = OperatorCache()
         a = cache.normalized_adjacency(ba_graph, dtype=np.float32)
         b = cache.normalized_adjacency(ba_graph, dtype=np.float32)
         assert a is b
 
     def test_all_accessors_accept_dtype(self, ba_graph):
-        cache = OperatorCache(threadsafe=False)
+        cache = OperatorCache()
         for build in (
             lambda: cache.adjacency(ba_graph, dtype=np.float32),
             lambda: cache.normalized_adjacency(ba_graph, dtype=np.float32),
@@ -539,7 +542,7 @@ class TestOperatorCacheDtypes:
             assert not mat.data.flags.writeable
 
     def test_variant_values_match_cast(self, ba_graph):
-        cache = OperatorCache(threadsafe=False)
+        cache = OperatorCache()
         base = cache.propagation(ba_graph)
         f32 = cache.propagation(ba_graph, dtype=np.float32)
         assert (f32.data == base.data.astype(np.float32)).all()
@@ -552,12 +555,12 @@ class TestOperatorCacheDtypes:
 
 class TestEngineDtypeMode:
     def test_float32_stack_dtype(self, featured_graph):
-        engine = PropagationEngine(dtype=np.float32, threadsafe=False)
+        engine = PropagationEngine(dtype=np.float32)
         stack = engine.propagate(featured_graph, featured_graph.x, 2)
         assert all(layer.dtype == np.float32 for layer in stack)
 
     def test_per_call_override_and_memo_separation(self, featured_graph):
-        engine = PropagationEngine(threadsafe=False)
+        engine = PropagationEngine()
         f64 = engine.propagate(featured_graph, featured_graph.x, 2)
         f32 = engine.propagate(
             featured_graph, featured_graph.x, 2, dtype=np.float32
@@ -571,7 +574,7 @@ class TestEngineDtypeMode:
         assert engine.stats.hits == 1
 
     def test_float32_accuracy_close_to_float64(self, featured_graph):
-        engine = PropagationEngine(threadsafe=False)
+        engine = PropagationEngine()
         f64 = engine.propagate(featured_graph, featured_graph.x, 3)
         f32 = engine.propagate(
             featured_graph, featured_graph.x, 3, dtype=np.float32
@@ -582,22 +585,22 @@ class TestEngineDtypeMode:
     def test_invalid_dtype_rejected(self, featured_graph):
         with pytest.raises(ConfigError):
             PropagationEngine(dtype=np.int32)
-        engine = PropagationEngine(threadsafe=False)
+        engine = PropagationEngine()
         with pytest.raises(ConfigError):
             engine.propagate(
                 featured_graph, featured_graph.x, 1, dtype=np.float16
             )
 
     def test_fused_matches_materialized_engine(self, featured_graph):
-        fused = PropagationEngine(threadsafe=False, fused=True)
-        plain = PropagationEngine(threadsafe=False, fused=False)
+        fused = PropagationEngine(fused=True)
+        plain = PropagationEngine(fused=False)
         a = fused.propagate(featured_graph, featured_graph.x, 3, kind="gcn")
         b = plain.propagate(featured_graph, featured_graph.x, 3, kind="gcn")
         for x, y in zip(a, b):
             assert np.allclose(x, y, atol=1e-12)
 
     def test_fused_spmm_runs_under_observability(self, featured_graph):
-        engine = PropagationEngine(threadsafe=False)
+        engine = PropagationEngine()
         obs.configure(enabled=True)
         try:
             stack = engine.propagate(featured_graph, featured_graph.x, 1)
@@ -606,7 +609,7 @@ class TestEngineDtypeMode:
         assert len(stack) == 2
 
     def test_hop_features_dtype_pass_through(self, featured_graph):
-        engine = PropagationEngine(threadsafe=False)
+        engine = PropagationEngine()
         stack = engine.hop_features(featured_graph, 1, dtype=np.float32)
         assert stack[1].dtype == np.float32
 
@@ -619,7 +622,7 @@ class TestEngineDtypeMode:
 class TestServingFloat32:
     def test_register_serve_and_patch_in_float32(self, csbm_dataset, rng):
         graph, _ = csbm_dataset
-        engine = PropagationEngine(dtype=np.float32, threadsafe=False)
+        engine = PropagationEngine(dtype=np.float32)
         registry = ModelRegistry(engine)
         serving = ServingEngine(registry=registry, store=None)
         model = SGC(graph.n_features, graph.n_classes, k_hops=2, seed=0)

@@ -1,4 +1,10 @@
-"""Tests for repro.perf: fingerprints, operator cache, propagation engine."""
+"""Tests for repro.perf: fingerprints, bounded memo, operator cache,
+propagation engine."""
+
+import gc
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ from repro.graph import Graph, barabasi_albert_graph, normalized_adjacency
 from repro.graph.ops import adjacency_matrix, propagation_matrix
 from repro.models import GAMLP, SGC
 from repro.perf import (
+    BoundedCache,
     OperatorCache,
     PropagationEngine,
     array_fingerprint,
@@ -58,6 +65,96 @@ class TestFingerprint:
     def test_array_fingerprint_dtype_sensitive(self):
         a = np.arange(4, dtype=np.int64)
         assert array_fingerprint(a) != array_fingerprint(a.astype(np.float64))
+
+
+class TestBoundedCache:
+    def test_lru_order_and_evictions_at_bound(self):
+        cache = BoundedCache(2)
+        assert cache.get_or_build("a", lambda: "A") == "A"
+        assert cache.get_or_build("b", lambda: "B") == "B"
+        assert cache.get_or_build("a", lambda: "rebuilt") == "A"  # a refreshed
+        cache.put("c", "C")  # evicts b, the least recent
+        assert cache.values() == ["A", "C"]
+        assert cache.get("b") is None
+        cache.get("a")  # uncounted, but refreshes a
+        cache.put("d", "D")  # evicts c
+        assert cache.values() == ["A", "D"]
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 2, 2)
+
+    def test_identity_entry_never_served_to_another_object(self):
+        class Box:
+            pass
+
+        cache = BoundedCache(4)
+        a, b = Box(), Box()
+        assert cache.get_or_build_for(a, lambda: "a", 7) == "a"
+        assert cache.get_or_build_for(a, lambda: "rebuilt", 7) == "a"
+        assert cache.get_or_build_for(a, lambda: "a8", 8) == "a8"
+        # The entry a recycled id would leave behind: b's id, a's object.
+        cache.put((id(b), 7), (a, "a"))
+        assert cache.get_or_build_for(b, lambda: "b", 7) == "b"
+        assert cache.stats.hits == 1 and cache.stats.misses == 3
+        # The entry keeps its object alive, so the id cannot be recycled.
+        ref = weakref.ref(a)
+        del a
+        gc.collect()
+        assert ref() is not None
+        cache.clear()
+        gc.collect()
+        assert ref() is None
+
+    def test_reset_keeps_entries_clear_drops_them(self):
+        cache = BoundedCache(4)
+        cache.get_or_build("k", lambda: 1)
+        cache.get_or_build("k", lambda: 2)
+        assert cache.snapshot() == {
+            "hits": 1, "misses": 1, "evictions": 0, "accesses": 2,
+            "hit_rate": 0.5, "entries": 1,
+        }
+        cache.reset()
+        assert cache.stats.accesses == 0 and len(cache) == 1
+        assert cache.get_or_build("k", lambda: 3) == 1
+        cache.clear()
+        assert cache.stats.accesses == 0 and len(cache) == 0
+        assert cache.get_or_build("k", lambda: 4) == 4
+
+    def test_concurrent_get_or_build_builds_once(self):
+        n_threads = 8
+        cache = BoundedCache(4)
+        barrier = threading.Barrier(n_threads, timeout=10)
+        builds, results = [], [None] * n_threads
+
+        def build():
+            builds.append(sum(range(20_000)))  # a window for a racing builder
+            return object()
+
+        def worker(i):
+            barrier.wait()
+            results[i] = cache.get_or_build("key", build)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1
+        assert all(r is results[0] for r in results)
+        stats = cache.stats
+        assert (stats.hits, stats.misses) == (n_threads - 1, 1)
+
+    def test_bound_validated(self):
+        with pytest.raises(ConfigError):
+            BoundedCache(0)
 
 
 class TestGraphAdjacencyCache:
@@ -220,6 +317,18 @@ class TestPropagationEngine:
         engine.propagate(featured_ba, featured_ba.x, 1)
         engine.propagate(featured_ba, rng.normal(size=featured_ba.x.shape), 1)
         assert engine.stats.misses == 2
+
+    def test_clear_releases_the_operators_it_built(self, featured_ba):
+        # The fused gcn hop wraps the cached A + I; clearing both caches
+        # must release that adjacency, wrapper included.
+        cache = OperatorCache()
+        engine = PropagationEngine(cache=cache)
+        engine.propagate(featured_ba, featured_ba.x, 2, kind="gcn")
+        ref = weakref.ref(cache.adjacency(featured_ba, self_loops=True))
+        engine.clear()
+        cache.clear()
+        gc.collect()
+        assert ref() is None
 
     def test_rejects_misaligned_features(self, featured_ba):
         engine = PropagationEngine(cache=OperatorCache())

@@ -418,7 +418,7 @@ class TestCircuitBreaker:
     def _breaker(self, clk, **kw):
         defaults = dict(
             failure_threshold=0.5, window=4, min_calls=2,
-            cooldown_s=5.0, clock=lambda: clk[0], threadsafe=False,
+            cooldown_s=5.0, clock=lambda: clk[0],
         )
         defaults.update(kw)
         return CircuitBreaker(**defaults)
