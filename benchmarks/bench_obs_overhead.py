@@ -40,13 +40,12 @@ from repro.bench import Table, format_seconds
 from repro.datasets import contextual_sbm
 from repro.models import SGC
 from repro.obs import MetricsRegistry, Tracer
-from repro.perf import OperatorCache, PropagationEngine
+from repro.perf import OperatorCache, PropagationEngine, spmm
 from repro.serving import BatchingQueue, EmbeddingStore, ServingEngine
 from repro.training import TrainingPipeline
 
 OVERHEAD_BOUND = 1.015
 K_HOPS = 3
-CHUNK_ROWS = 2048
 N_FEATURES = 32
 
 TRACE_ARTIFACT = "E30_obs_trace.json"
@@ -92,13 +91,11 @@ def _overhead_measurements(n_nodes: int, repeat: int, inner: int) -> dict:
         n_nodes, n_classes=4, homophily=0.8, avg_degree=10,
         n_features=N_FEATURES, feature_signal=1.0, seed=1,
     )
-    engine = PropagationEngine(cache=OperatorCache(), chunk_rows=CHUNK_ROWS)
-    engine.operator(graph, "gcn")  # warm the operator cache
-    # The exact hop operator the disabled propagate path dispatches to
-    # (a FusedOperator when sparsetools is available, else the cached
-    # materialized matrix) — the raw loop must hand-inline the *same*
-    # kernel or the ratio measures kernel disparity, not instrumentation.
-    hop_op = engine._hop_operator(graph, "gcn", None, engine.dtype)
+    engine = PropagationEngine(cache=OperatorCache())
+    # The exact (cached) operator the disabled propagate path multiplies
+    # by — the raw loop must apply the *same* product or the ratio
+    # measures operator disparity, not instrumentation.
+    hop_op = engine.operator(graph, "gcn", dtype=engine.dtype)
     x = np.asarray(graph.x, dtype=engine.dtype)
 
     def raw():
@@ -109,7 +106,7 @@ def _overhead_measurements(n_nodes: int, repeat: int, inner: int) -> dict:
         # reuse warm pages the real path cannot.
         stack = [x]
         for _ in range(K_HOPS):
-            stack.append(engine._apply_hop(hop_op, stack[-1]))
+            stack.append(spmm(hop_op, stack[-1]))
         return stack
 
     def instrumented():
@@ -147,7 +144,6 @@ def _overhead_measurements(n_nodes: int, repeat: int, inner: int) -> dict:
     return {
         "n_nodes": n_nodes,
         "k_hops": K_HOPS,
-        "chunk_rows": CHUNK_ROWS,
         "repeat": repeat,
         "inner": inner,
         "raw_khop_s": raw_s,
@@ -366,7 +362,7 @@ def test_obs_overhead(benchmark):
         600, n_classes=4, homophily=0.8, avg_degree=10,
         n_features=N_FEATURES, feature_signal=1.0, seed=1,
     )
-    engine = PropagationEngine(cache=OperatorCache(), chunk_rows=CHUNK_ROWS)
+    engine = PropagationEngine(cache=OperatorCache())
     engine.operator(graph, "gcn")
     previous = obs.configure(enabled=False)
     try:

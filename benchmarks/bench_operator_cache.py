@@ -1,11 +1,12 @@
-"""E28 (repro.perf): operator caching and chunked propagation pay off.
+"""E28 (repro.perf): operator caching and shared propagation pay off.
 
 Claims measured here:
 
 1. Warm :class:`repro.perf.OperatorCache` lookups are orders of magnitude
    faster than cold operator construction (>= 10x is the acceptance bar).
-2. Row-chunked K-hop propagation matches the monolithic SpMM result to
-   ``np.allclose`` tolerance while bounding the transient operator slice.
+2. K-hop propagation through :func:`repro.perf.spmm` (scipy's product
+   under the ``propagation.hop`` fault site) is bitwise the plain
+   ``operator @ h`` loop and costs no more.
 3. A second model asking for the same hop stack pays (near-)zero cost.
 
 Alongside the usual text table, a machine-readable JSON summary is written
@@ -20,10 +21,9 @@ from _common import emit, emit_json
 
 from repro.bench import Table, format_seconds
 from repro.datasets import contextual_sbm
-from repro.perf import OperatorCache, PropagationEngine, chunked_spmm
+from repro.perf import OperatorCache, PropagationEngine, spmm
 
 K_HOPS = 3
-CHUNK_ROWS = 2048
 SIZES = (1000, 4000, 12000)
 
 
@@ -37,11 +37,11 @@ def _time(fn, repeat: int = 3) -> float:
     return best
 
 
-def test_operator_cache_and_chunked_propagation(benchmark):
+def test_operator_cache_and_propagation(benchmark):
     table = Table(
-        "E28: operator cache + chunked propagation",
+        "E28: operator cache + shared propagation",
         ["n nodes", "cold build", "warm lookup", "speedup",
-         "monolithic K-hop", "chunked K-hop", "stack reuse", "max |diff|"],
+         "monolithic K-hop", "spmm K-hop", "stack reuse", "max |diff|"],
     )
     records = []
     for n in SIZES:
@@ -64,17 +64,17 @@ def test_operator_cache_and_chunked_propagation(benchmark):
                 h = operator @ h
             return h
 
-        def chunked():
+        def through_spmm():
             h = graph.x
             for _ in range(K_HOPS):
-                h = chunked_spmm(operator, h, chunk_rows=CHUNK_ROWS)
+                h = spmm(operator, h)
             return h
 
         mono_s = _time(monolithic)
-        chunk_s = _time(chunked)
-        max_diff = float(np.max(np.abs(monolithic() - chunked())))
+        spmm_s = _time(through_spmm)
+        max_diff = float(np.max(np.abs(monolithic() - through_spmm())))
 
-        engine = PropagationEngine(cache=cache, chunk_rows=CHUNK_ROWS)
+        engine = PropagationEngine(cache=cache)
         engine.propagate(graph, graph.x, K_HOPS, kind="gcn")
         reuse_s = _time(
             lambda: engine.propagate(graph, graph.x, K_HOPS, kind="gcn"), repeat=5
@@ -82,18 +82,17 @@ def test_operator_cache_and_chunked_propagation(benchmark):
 
         table.add_row(
             n, format_seconds(cold), format_seconds(warm), f"{speedup:.0f}x",
-            format_seconds(mono_s), format_seconds(chunk_s),
+            format_seconds(mono_s), format_seconds(spmm_s),
             format_seconds(reuse_s), f"{max_diff:.2e}",
         )
         records.append({
             "n_nodes": n,
             "k_hops": K_HOPS,
-            "chunk_rows": CHUNK_ROWS,
             "cold_build_s": cold,
             "warm_lookup_s": warm,
             "warm_speedup": speedup,
             "monolithic_khop_s": mono_s,
-            "chunked_khop_s": chunk_s,
+            "spmm_khop_s": spmm_s,
             "stack_reuse_s": reuse_s,
             "max_abs_diff": max_diff,
         })
@@ -115,7 +114,7 @@ def test_operator_cache_and_chunked_propagation(benchmark):
             f"warm lookup must be >= 10x faster than cold build, got "
             f"{rec['warm_speedup']:.1f}x at n={rec['n_nodes']}"
         )
-        assert rec["max_abs_diff"] < 1e-9, "chunked SpMM must match monolithic"
-        assert rec["stack_reuse_s"] < rec["chunked_khop_s"], (
+        assert rec["max_abs_diff"] == 0.0, "spmm must be bitwise monolithic"
+        assert rec["stack_reuse_s"] < rec["spmm_khop_s"], (
             "serving a memoized stack must beat recomputing it"
         )

@@ -25,6 +25,7 @@ recompute of the push from scratch.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 
 import numpy as np
@@ -37,10 +38,11 @@ from repro.utils.validation import check_int_range, check_positive
 class DynamicGraph:
     """An undirected, unweighted graph supporting edge insertions.
 
-    Adjacency is stored as per-node Python lists (amortised O(1) append);
-    :meth:`snapshot` materialises an immutable CSR :class:`Graph` for use
-    with the static algorithms. Node features and labels (which edge
-    insertions never change) ride along and are carried into every
+    Adjacency is stored as per-node sorted Python lists, so
+    :meth:`snapshot` materialises an immutable CSR :class:`Graph` with
+    sorted rows — the same arrays :meth:`Graph.from_edges` builds for the
+    same edge set — for use with the static algorithms. Node features and
+    labels (which edge insertions never change) ride along and are carried into every
     snapshot, so downstream consumers — decoupled-model inference in
     particular — see a fully populated :class:`Graph` at each version.
     """
@@ -105,8 +107,8 @@ class DynamicGraph:
             raise GraphError("self-loops are not supported")
         if self.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) already present")
-        self._adj[u].append(v)
-        self._adj[v].append(u)
+        insort(self._adj[u], v)
+        insort(self._adj[v], u)
         self._n_edges += 1
 
     def snapshot(self) -> Graph:

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from repro.errors import ConfigError, ShapeError
 from repro.graph.core import Graph
-from repro.perf import cached_laplacian, chunked_spmm, get_default_engine
+from repro.perf import cached_laplacian, get_default_engine, spmm
 from repro.tensor.autograd import Tensor
 from repro.tensor.nn import MLP, Module, Parameter
 from repro.utils.validation import check_int_range
@@ -46,20 +46,20 @@ def basis_signals(graph: Graph, degree: int, basis: str = "chebyshev") -> list[n
         shifted = (lap - sp.identity(graph.n_nodes, format="csr")).tocsr()
         out = [x]
         if degree >= 1:
-            out.append(chunked_spmm(shifted, x))
+            out.append(spmm(shifted, x))
         for _ in range(2, degree + 1):
-            out.append(2 * chunked_spmm(shifted, out[-1]) - out[-2])
+            out.append(2 * spmm(shifted, out[-1]) - out[-2])
         return out
     # Bernstein: B_{k,K}(L/2) X.
     half = (0.5 * lap).tocsr()
     compl_powers = [x]
     for _ in range(degree):
-        compl_powers.append(compl_powers[-1] - chunked_spmm(half, compl_powers[-1]))
+        compl_powers.append(compl_powers[-1] - spmm(half, compl_powers[-1]))
     out = []
     for k in range(degree + 1):
         term = compl_powers[degree - k]
         for _ in range(k):
-            term = chunked_spmm(half, term)
+            term = spmm(half, term)
         out.append(comb(degree, k) * term)
     return out
 

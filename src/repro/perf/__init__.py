@@ -1,4 +1,4 @@
-"""Precomputation reuse: operator caching and shared chunked propagation.
+"""Precomputation reuse: operator caching and shared K-hop propagation.
 
 The paper's data-management thesis is that scalable GNNs win by *reusing
 precomputation*: decoupled models consume the same normalized-adjacency
@@ -13,20 +13,14 @@ that reuse concrete:
   on.
 * :mod:`repro.perf.operator_cache` — :class:`OperatorCache`, LRU-bounded
   memoization of adjacency / normalized adjacency / Laplacian /
-  propagation operators (and their value-dtype variants, and the fused
-  wrapper of each adjacency) with hit/miss accounting.
-* :mod:`repro.perf.kernels` — hand-rolled CSR SpMM kernels: zero-copy
-  row walk, L2-tiled column blocking (:class:`SpmmPlan`), the fused
-  normalize+propagate :class:`FusedOperator`, and reusable
-  :class:`RowBand` decodes for multi-RHS row products.
+  propagation operators (and their value-dtype variants) with hit/miss
+  accounting.
 * :mod:`repro.perf.arena` — :class:`BufferArena`, a shape/dtype-keyed
-  pool of dense scratch buffers rented by the kernels and the serving
-  batch workers.
-* :mod:`repro.perf.propagation` — :class:`PropagationEngine`, row-chunked
-  (bounded-memory) K-hop SpMM with memoized hop stacks, the shared
-  ``propagate(graph, X, K, kind)`` entry point of every decoupled model;
-  its ``chunked_spmm``/``rows_spmm`` dispatchers own the fault sites and
-  route to the kernels.
+  pool of dense scratch buffers rented by the serving batch workers.
+* :mod:`repro.perf.propagation` — :class:`PropagationEngine`, K-hop SpMM
+  with memoized hop stacks, the shared ``propagate(graph, X, K, kind)``
+  entry point of every decoupled model; ``spmm``/``rows_spmm`` wrap
+  scipy's product in the ``propagation.hop`` fault site.
 """
 
 from repro.perf.arena import (
@@ -36,15 +30,6 @@ from repro.perf.arena import (
 )
 from repro.perf.bounded_cache import BoundedCache
 from repro.perf.fingerprint import array_fingerprint, graph_fingerprint
-from repro.perf.kernels import (
-    DEFAULT_L2_BUDGET,
-    HAVE_SPARSETOOLS,
-    FusedOperator,
-    RowBand,
-    SpmmPlan,
-    blocked_spmm,
-    kernel_supported,
-)
 from repro.perf.operator_cache import (
     OperatorCache,
     cached_adjacency,
@@ -55,15 +40,12 @@ from repro.perf.operator_cache import (
     set_default_cache,
 )
 from repro.perf.propagation import (
-    DEFAULT_CHUNK_ROWS,
     PropagationEngine,
-    chunked_spmm,
-    fused_spmm,
     get_default_engine,
     propagate,
     rows_spmm,
-    rows_spmm_multi,
     set_default_engine,
+    spmm,
 )
 
 __all__ = [
@@ -80,20 +62,10 @@ __all__ = [
     "BufferArena",
     "get_default_arena",
     "set_default_arena",
-    "SpmmPlan",
-    "FusedOperator",
-    "RowBand",
-    "blocked_spmm",
-    "kernel_supported",
-    "HAVE_SPARSETOOLS",
-    "DEFAULT_L2_BUDGET",
     "PropagationEngine",
-    "chunked_spmm",
-    "fused_spmm",
+    "spmm",
     "rows_spmm",
-    "rows_spmm_multi",
     "propagate",
     "get_default_engine",
     "set_default_engine",
-    "DEFAULT_CHUNK_ROWS",
 ]

@@ -1,12 +1,10 @@
 """Preallocated buffer arena: rent/release dense scratch buffers.
 
-The SpMM hot path allocates the same handful of dense shapes over and
-over — per-hop outputs, the scaled-feature temporary of the fused
-normalize+propagate kernel, the per-micro-batch hop-row gather of the
-serving workers. Each ``np.empty`` of a tens-of-megabytes array is a
-round trip through the allocator (and, for fresh pages, through the
-kernel's zero-page machinery) on a path that is otherwise pure memory
-bandwidth. :class:`BufferArena` keeps released buffers pooled by
+Serving allocates the same dense shapes over and over — the
+per-micro-batch hop-row gather of every batch worker. Each ``np.empty``
+of a tens-of-megabytes array is a round trip through the allocator
+(and, for fresh pages, through the kernel's zero-page machinery) on a
+path that is otherwise pure memory bandwidth. :class:`BufferArena` keeps released buffers pooled by
 ``(shape, dtype)`` so steady-state loops reuse the same physical pages
 instead of churning new ones.
 
@@ -204,7 +202,7 @@ _default_arena = BufferArena()
 
 
 def get_default_arena() -> BufferArena:
-    """The process-wide arena shared by the kernels and serving workers."""
+    """The process-wide arena shared by the serving workers."""
     return _default_arena
 
 

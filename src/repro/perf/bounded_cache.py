@@ -1,7 +1,7 @@
 """One LRU-bounded memo for the object caches of :mod:`repro.perf`.
 
-The operator cache, the propagation engine's hop-stack and feature-hash
-memos and the kernel layer's tiling-plan table all need the same map: a
+The operator cache and the propagation engine's hop-stack and
+feature-hash memos all need the same map: a
 bounded number of entries, least-recently-used eviction, a build that
 runs under a lock (two threads asking for one missing entry must not
 both build it), and hit/miss/eviction counters. :class:`BoundedCache`

@@ -8,9 +8,7 @@ them per model call is pure waste: the data-management argument of the
 paper is that precomputation should be shared. :class:`OperatorCache`
 memoizes operator construction keyed by the graph's content fingerprint,
 with LRU bounds and hit/miss/eviction accounting (a
-:class:`~repro.perf.bounded_cache.BoundedCache`). The fused
-normalize+propagate wrapper of an adjacency lives in that adjacency's
-entry, so it is evicted and cleared together with the matrix it wraps.
+:class:`~repro.perf.bounded_cache.BoundedCache`).
 
 Cached matrices are returned *shared* between callers, with their
 underlying buffers flagged read-only so an accidental in-place mutation
@@ -30,7 +28,6 @@ from repro.errors import ConfigError
 from repro.graph import ops as graph_ops
 from repro.graph.core import Graph
 from repro.perf.bounded_cache import BoundedCache
-from repro.perf.kernels import FusedOperator
 from repro.storage.feature_cache import CacheStats
 
 
@@ -40,9 +37,7 @@ def _freeze(matrix: sp.csr_matrix) -> sp.csr_matrix:
     All three CSR arrays are frozen — ``data`` *and* the
     ``indices``/``indptr`` structure — so a caller mutating a cached
     operator's values or topology raises instead of silently corrupting
-    every sharer. The frozen-data flag doubles as the kernel layer's
-    "long-lived operator" signal (see
-    :func:`repro.perf.kernels.blocked_spmm`'s plan heuristic).
+    every sharer.
     """
     for arr in (matrix.data, matrix.indices, matrix.indptr):
         arr.setflags(write=False)
@@ -68,17 +63,15 @@ def _cast_shared(matrix: sp.csr_matrix, dtype: np.dtype) -> sp.csr_matrix:
 
 
 class _Entry:
-    """One cached operator, built and frozen on a miss, plus its fused
-    wrapper once one is asked for."""
+    """One cached operator, built and frozen on a miss."""
 
-    __slots__ = ("matrix", "fused")
+    __slots__ = ("matrix",)
 
     def __init__(self, key: tuple, builder: Callable[[], sp.spmatrix]) -> None:
         with obs.span("perf.operator_build", op=key[1], kind=str(key[2])) as span:
             self.matrix = _freeze(builder().tocsr())
             if span:
                 span.set(nnz=int(self.matrix.nnz), n_rows=int(self.matrix.shape[0]))
-        self.fused: FusedOperator | None = None
 
 
 class OperatorCache:
@@ -134,35 +127,16 @@ class OperatorCache:
     # Operator accessors (mirror repro.graph.ops)
     # ------------------------------------------------------------------ #
 
-    def _adjacency_entry(self, graph: Graph, self_loops: bool, dtype) -> _Entry:
+    def adjacency(
+        self, graph: Graph, self_loops: bool = False, dtype=None
+    ) -> sp.csr_matrix:
+        """Cached :func:`repro.graph.ops.adjacency_matrix`."""
         key = (graph.fingerprint, "adjacency", None, bool(self_loops), None)
         return self._entry(
             key,
             lambda: graph_ops.adjacency_matrix(graph, self_loops=self_loops),
             dtype,
-        )
-
-    def adjacency(
-        self, graph: Graph, self_loops: bool = False, dtype=None
-    ) -> sp.csr_matrix:
-        """Cached :func:`repro.graph.ops.adjacency_matrix`."""
-        return self._adjacency_entry(graph, self_loops, dtype).matrix
-
-    def fused_adjacency(
-        self, graph: Graph, self_loops: bool = False, dtype=None
-    ) -> FusedOperator:
-        """The fused :math:`D^{-1/2} A D^{-1/2}` wrapper over the cached
-        adjacency (:meth:`adjacency` with the same arguments).
-
-        Built once and kept in the adjacency's own entry: the lookup
-        counts exactly as :meth:`adjacency` does, and the wrapper goes
-        when that entry is evicted or cleared.
-        """
-        entry = self._adjacency_entry(graph, self_loops, dtype)
-        with self._store.lock:
-            if entry.fused is None:
-                entry.fused = FusedOperator(entry.matrix)
-            return entry.fused
+        ).matrix
 
     def normalized_adjacency(
         self, graph: Graph, kind: str = "sym", self_loops: bool = True, dtype=None
@@ -235,8 +209,7 @@ class OperatorCache:
         self._store.reset()
 
     def clear(self) -> None:
-        """Drop every entry (fused wrappers included) and reset the
-        counters."""
+        """Drop every entry and reset the counters."""
         self._store.clear()
 
     def __len__(self) -> int:

@@ -1,4 +1,4 @@
-"""Row-chunked K-hop propagation with memoized hop-feature stacks.
+"""K-hop propagation with memoized hop-feature stacks.
 
 The single graph-touching step of every decoupled model is the K-hop
 stack :math:`[X, PX, \\ldots, P^K X]` for some propagation operator
@@ -8,22 +8,11 @@ that asks — SGC, SIGN, GAMLP, LD2, KRR and the spectral filters all go
 through :meth:`PropagationEngine.propagate`, so repeat experiments on the
 same graph pay zero additional SpMM cost.
 
-The SpMM itself is *row-chunked* (:func:`chunked_spmm`): the operator is
-applied ``chunk_rows`` rows at a time, so the transient working set stays
-bounded regardless of graph size — the bounded-peak-memory discipline of
-out-of-core systems (Ginex et al.), applied to in-memory precompute.
-
-``chunked_spmm`` / ``rows_spmm`` are thin *dispatchers*: they own the
-``propagation.hop`` fault-injection site and the fallback semantics,
-and route eligible operands to the hand-rolled CSR kernels of
-:mod:`repro.perf.kernels` (zero-copy row walk, L2-tiled column
-blocking, decoded row bands). Unsupported dtypes or operator formats
-take the per-chunk scipy slice path. For the ``gcn``/``sym`` engines
-the per-hop multiply runs through a
-:class:`~repro.perf.kernels.FusedOperator` — normalization applied on
-the fly, the normalized operator never materialized — with scratch
-rented from :mod:`repro.perf.arena`; the operator cache keeps the
-wrapper in the entry of the adjacency it wraps.
+Every hop is scipy's ``operator @ dense`` on the cached, materialized
+operator: aggregation is memory-bound, and the single pass over the
+operator's non-zeros moves fewer bytes than any scheme that re-derives
+the normalization per hop. :func:`spmm` and :func:`rows_spmm` wrap that
+product in the ``propagation.hop`` fault-injection site.
 
 The engine is dtype-aware end to end: ``PropagationEngine(dtype=...)``
 (or a per-call ``propagate(..., dtype=...)`` override) selects float32
@@ -45,8 +34,6 @@ from repro import obs
 from repro.errors import ConfigError
 from repro.graph.core import Graph
 from repro.obs import OBS
-from repro.perf import kernels
-from repro.perf.arena import BufferArena
 from repro.perf.bounded_cache import BoundedCache
 from repro.perf.fingerprint import array_fingerprint
 from repro.perf.operator_cache import OperatorCache, get_default_cache
@@ -54,7 +41,8 @@ from repro.resilience.faults import FAULTS
 from repro.storage.feature_cache import CacheStats
 from repro.utils.validation import check_int_range
 
-DEFAULT_CHUNK_ROWS = 16384
+#: Element types a propagated hop stack may take.
+SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _ENGINE_KINDS = ("gcn", "rw", "lazy", "col", "sym", "lap")
 
@@ -82,175 +70,36 @@ def _apply_hop_fault(inj, action, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def chunked_spmm(
-    operator: sp.spmatrix,
-    dense: np.ndarray,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    l2_budget: int = kernels.DEFAULT_L2_BUDGET,
-) -> np.ndarray:
-    """``operator @ dense`` computed ``chunk_rows`` rows at a time.
-
-    Numerically identical to the monolithic product (bitwise, for a
-    sorted-indices CSR operator), with the transient working set bounded
-    regardless of graph size. Operand pairs the hand-rolled kernels
-    accept (:func:`~repro.perf.kernels.kernel_supported`) run through
-    :func:`~repro.perf.kernels.blocked_spmm` — column-blocked via a
-    cached :class:`~repro.perf.kernels.SpmmPlan` for frozen operators
-    whose dense operand overflows ``l2_budget``, zero-copy row walk
-    otherwise. Everything else (CSC or integer operators, mixed dtypes,
-    non-contiguous dense operands) takes the per-chunk scipy
-    ``operator[start:stop] @ dense`` slice path.
-    """
-    check_int_range("chunk_rows", chunk_rows, 1)
+def spmm(operator: sp.spmatrix, dense: np.ndarray) -> np.ndarray:
+    """``operator @ dense`` under the ``propagation.hop`` fault site."""
     inj, action = _fire_hop_fault()
-    dense = np.asarray(dense)
-    if kernels.kernel_supported(operator, dense):
-        out = kernels.blocked_spmm(operator, dense, chunk_rows, l2_budget=l2_budget)
-    else:
-        n_rows = operator.shape[0]
-        if n_rows <= chunk_rows:
-            out = operator @ dense
-        else:
-            operator = operator.tocsr()
-            out_shape = (n_rows,) if dense.ndim == 1 else (n_rows, dense.shape[1])
-            out = np.empty(
-                out_shape, dtype=np.result_type(operator.dtype, dense.dtype)
-            )
-            for start in range(0, n_rows, chunk_rows):
-                stop = min(start + chunk_rows, n_rows)
-                out[start:stop] = operator[start:stop] @ dense
-    return _apply_hop_fault(inj, action, out)
-
-
-def fused_spmm(
-    operator: kernels.FusedOperator,
-    dense: np.ndarray,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    l2_budget: int = kernels.DEFAULT_L2_BUDGET,
-    arena: BufferArena | None = None,
-) -> np.ndarray:
-    """One fused normalize+propagate hop, under the ``propagation.hop``
-    fault site (the fused analogue of :func:`chunked_spmm`)."""
-    check_int_range("chunk_rows", chunk_rows, 1)
-    inj, action = _fire_hop_fault()
-    out = operator.matmul(
-        np.asarray(dense), chunk_rows, l2_budget=l2_budget, arena=arena
-    )
-    return _apply_hop_fault(inj, action, out)
-
-
-def _rows_product(operator, rows, dense, chunk_rows, band):
-    """The fault-free core of :func:`rows_spmm` (dispatch + chunking)."""
-    if (
-        band is not None
-        and kernels.HAVE_SPARSETOOLS
-        and band.dtype == dense.dtype
-        and dense.flags.c_contiguous
-        and band.matches(rows)
-    ):
-        return band.matmul(dense)
-    csr = operator.tocsr()
-    if len(rows) and kernels.kernel_supported(csr, dense):
-        out = np.empty((len(rows),) + dense.shape[1:], dtype=dense.dtype)
-        for start in range(0, len(rows), chunk_rows):
-            stop = min(start + chunk_rows, len(rows))
-            kernels.RowBand(csr, rows[start:stop]).matmul(
-                dense, out=out[start:stop]
-            )
-        return out
-    if len(rows) <= chunk_rows:
-        return csr[rows] @ dense
-    out = np.empty(
-        (len(rows),) + dense.shape[1:],
-        dtype=np.result_type(csr.dtype, dense.dtype),
-    )
-    for start in range(0, len(rows), chunk_rows):
-        stop = min(start + chunk_rows, len(rows))
-        out[start:stop] = csr[rows[start:stop]] @ dense
-    return out
+    return _apply_hop_fault(inj, action, operator @ np.asarray(dense))
 
 
 def rows_spmm(
-    operator: sp.spmatrix,
-    rows: np.ndarray,
-    dense: np.ndarray,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    band: kernels.RowBand | None = None,
+    operator: sp.spmatrix, rows: np.ndarray, dense: np.ndarray
 ) -> np.ndarray:
     """``(operator @ dense)[rows]`` without computing the full product.
 
-    Multiplies only the band of the selected rows — cost proportional to
-    their non-zeros, not the whole graph. The localized-recompute kernel
-    of incremental serving: after an edge insertion only the dirty K-hop
-    rows of a hop stack are re-derived this way.
-
-    The selection is processed ``chunk_rows`` rows at a time, so a dirty
-    frontier covering most of the graph still observes the same peak
-    transient memory bound as :func:`chunked_spmm`. Eligible operands
-    decode each chunk into a :class:`~repro.perf.kernels.RowBand`
-    (vectorized index gather, no scipy fancy-index slice); a caller that
-    applies the *same* row set repeatedly may pass a pre-decoded
-    ``band`` to skip the decode entirely (it is used only when it
-    matches ``rows`` and the dense dtype).
+    Multiplies only the selected rows of the operator — cost proportional
+    to their non-zeros, not the whole graph. The localized-recompute
+    kernel of incremental serving: after an edge insertion only the dirty
+    K-hop rows of a hop stack are re-derived this way.
     """
-    check_int_range("chunk_rows", chunk_rows, 1)
     inj, action = _fire_hop_fault()
     rows = np.asarray(rows, dtype=np.int64)
-    dense = np.asarray(dense)
-    out = _rows_product(operator, rows, dense, chunk_rows, band)
+    out = operator.tocsr()[rows] @ np.asarray(dense)
     return _apply_hop_fault(inj, action, out)
 
 
-def rows_spmm_multi(
-    operator: sp.spmatrix,
-    rows: np.ndarray,
-    denses: list[np.ndarray],
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> list[np.ndarray]:
-    """``[(operator @ D)[rows] for D in denses]`` with one index decode.
-
-    The multi-RHS batched form of :func:`rows_spmm`: each ``chunk_rows``
-    window of the selection is decoded into a
-    :class:`~repro.perf.kernels.RowBand` once and applied to every
-    stacked right-hand side, amortizing the index arithmetic that
-    otherwise dominates when the dense operands are narrow. One
-    ``propagation.hop`` fault decision covers the whole batch (it is a
-    single logical recompute).
-    """
-    check_int_range("chunk_rows", chunk_rows, 1)
-    inj, action = _fire_hop_fault()
-    rows = np.asarray(rows, dtype=np.int64)
-    denses = [np.asarray(d) for d in denses]
-    csr = operator.tocsr() if denses else operator
-    if denses and all(
-        d.dtype == denses[0].dtype and kernels.kernel_supported(csr, d)
-        for d in denses
-    ):
-        outs = [
-            np.empty((len(rows),) + d.shape[1:], dtype=d.dtype) for d in denses
-        ]
-        for start in range(0, len(rows), chunk_rows):
-            stop = min(start + chunk_rows, len(rows))
-            band = kernels.RowBand(csr, rows[start:stop])
-            for dense, out in zip(denses, outs):
-                band.matmul(dense, out=out[start:stop])
-    else:
-        outs = [
-            _rows_product(csr, rows, dense, chunk_rows, None) for dense in denses
-        ]
-    return [_apply_hop_fault(inj, action, out) for out in outs]
-
-
 class PropagationEngine:
-    """Shared K-hop propagation: chunked SpMM + memoized hop stacks.
+    """Shared K-hop propagation: one SpMM per hop + memoized hop stacks.
 
     Parameters
     ----------
     cache:
         Operator cache used to build/reuse the propagation operators; when
         ``None`` the process-wide default cache is consulted at call time.
-    chunk_rows:
-        Row-chunk size for :func:`chunked_spmm`.
     max_stacks:
         LRU bound on memoized hop stacks (each stack holds ``K+1`` dense
         ``(n, d)`` arrays, so this is the dominant memory knob).
@@ -259,16 +108,6 @@ class PropagationEngine:
         the historical behaviour) or ``float32``, which halves the
         memory traffic of the memory-bound SpMM. Overridable per call
         via ``propagate(..., dtype=...)``.
-    fused:
-        Run ``gcn``/``sym`` hops through the fused normalize+propagate
-        kernel (:class:`repro.perf.kernels.FusedOperator`) instead of
-        materializing the normalized operator (default on; agreement is
-        to rounding error, ~1e-15 relative for float64).
-    l2_budget:
-        Dense-tile cache budget handed to the blocked kernels.
-    arena:
-        Buffer arena the fused kernel rents scratch from; ``None`` uses
-        the process-wide default arena.
 
     Memoized propagation is serialized under the stack memo's reentrant
     lock. Stack construction is a registration-time event, not
@@ -280,30 +119,20 @@ class PropagationEngine:
     def __init__(
         self,
         cache: OperatorCache | None = None,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
         max_stacks: int = 8,
         dtype=np.float64,
-        fused: bool = True,
-        l2_budget: int = kernels.DEFAULT_L2_BUDGET,
-        arena: BufferArena | None = None,
     ) -> None:
-        check_int_range("chunk_rows", chunk_rows, 1)
         check_int_range("max_stacks", max_stacks, 1)
-        check_int_range("l2_budget", l2_budget, 1)
         self._cache = cache
-        self.chunk_rows = chunk_rows
         self.max_stacks = max_stacks
         self.dtype = self._check_dtype(dtype)
-        self.fused = bool(fused)
-        self.l2_budget = l2_budget
-        self._arena = arena
         self._stacks = BoundedCache(max_stacks)
         self._feature_hashes = BoundedCache(4 * max_stacks)
 
     @staticmethod
     def _check_dtype(dtype) -> np.dtype:
         dt = np.dtype(dtype)
-        if dt not in kernels.SUPPORTED_DTYPES:
+        if dt not in SUPPORTED_DTYPES:
             raise ConfigError(
                 f"propagation dtype must be float32 or float64, got {dt}"
             )
@@ -352,26 +181,6 @@ class PropagationEngine:
             return self.cache.laplacian(graph, kind="sym", dtype=dtype)
         raise ConfigError(f"kind must be one of {_ENGINE_KINDS}, got {kind!r}")
 
-    def _hop_operator(self, graph: Graph, kind: str, alpha, dtype: np.dtype):
-        """What one hop multiplies by: a fused wrapper for the
-        symmetric-normalized kinds, else the cached materialized operator."""
-        if self.fused and kind in ("gcn", "sym") and kernels.HAVE_SPARSETOOLS:
-            return self.cache.fused_adjacency(
-                graph, self_loops=(kind == "gcn"), dtype=dtype
-            )
-        return self.operator(graph, kind, alpha, dtype=dtype)
-
-    def _apply_hop(self, operator, dense: np.ndarray) -> np.ndarray:
-        """One hop through the matching dispatcher (fault site included)."""
-        if isinstance(operator, kernels.FusedOperator):
-            return fused_spmm(
-                operator, dense, self.chunk_rows,
-                l2_budget=self.l2_budget, arena=self._arena,
-            )
-        return chunked_spmm(
-            operator, dense, self.chunk_rows, l2_budget=self.l2_budget
-        )
-
     def _feature_fingerprint(self, features: np.ndarray) -> str:
         """Content hash of a feature matrix, memoized by identity.
 
@@ -391,13 +200,9 @@ class PropagationEngine:
         observability is enabled (a single ``OBS.enabled`` check when it
         is not)."""
         if not OBS.enabled:
-            return self._apply_hop(operator, dense)
-        with OBS.tracer.span(
-            "perf.spmm", hop=hop, nnz=int(operator.nnz),
-            chunk_rows=self.chunk_rows,
-            fused=isinstance(operator, kernels.FusedOperator),
-        ) as span:
-            out = self._apply_hop(operator, dense)
+            return spmm(operator, dense)
+        with OBS.tracer.span("perf.spmm", hop=hop, nnz=int(operator.nnz)) as span:
+            out = spmm(operator, dense)
             span.set(out_bytes=int(out.nbytes))
         return out
 
@@ -440,7 +245,7 @@ class PropagationEngine:
                 "perf.propagate", n_nodes=graph.n_nodes, k=k, kind=kind,
                 memoize=False, dtype=eff_dtype.name,
             ):
-                operator = self._hop_operator(graph, kind, alpha, eff_dtype)
+                operator = self.operator(graph, kind, alpha, dtype=eff_dtype)
                 stack = [features]
                 for _ in range(k):
                     stack.append(self._hop(operator, stack[-1], len(stack)))
@@ -487,7 +292,7 @@ class PropagationEngine:
                 "perf.propagate", n_nodes=graph.n_nodes, k=k, kind=kind,
                 cached_hops=len(stack) - 1, dtype=eff_dtype.name,
             ) as span:
-                operator = self._hop_operator(graph, kind, alpha, eff_dtype)
+                operator = self.operator(graph, kind, alpha, dtype=eff_dtype)
                 while len(stack) <= k:
                     nxt = self._hop(operator, stack[-1], len(stack))
                     nxt.setflags(write=False)
@@ -556,7 +361,7 @@ class PropagationEngine:
         s = self.stats
         return (
             f"PropagationEngine(stacks={len(self)}/{self.max_stacks}, "
-            f"hits={s.hits}, misses={s.misses}, chunk_rows={self.chunk_rows})"
+            f"hits={s.hits}, misses={s.misses})"
         )
 
 

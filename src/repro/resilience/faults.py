@@ -16,7 +16,7 @@ attribute check on the hot path, everything else behind it):
 site                    instrumented code
 ======================  ====================================================
 ``storage.get``         :meth:`repro.storage.FeatureStore.get`
-``propagation.hop``     :func:`repro.perf.chunked_spmm` /
+``propagation.hop``     :func:`repro.perf.spmm` /
                         :func:`repro.perf.rows_spmm` (every hop application)
 ``serving.batch``       :meth:`repro.serving.ServingEngine.run_batch`
 ``training.worker_step``  per-worker steps in

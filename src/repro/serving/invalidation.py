@@ -28,8 +28,7 @@ import scipy.sparse as sp
 
 from repro.errors import ConfigError
 from repro.graph.dynamic import DynamicGraph
-from repro.perf import kernels
-from repro.perf.propagation import DEFAULT_CHUNK_ROWS, rows_spmm
+from repro.perf.propagation import rows_spmm
 from repro.utils.validation import check_int_range
 
 
@@ -106,48 +105,25 @@ def patch_stack(
     stack: list[np.ndarray],
     operator: sp.spmatrix,
     dirty_per_depth: list[np.ndarray],
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
 ) -> int:
     """Patch a hop stack in place for the given per-depth dirty rows.
 
     ``stack[0]`` (raw features) is never touched; for each deeper level the
     dirty rows are re-derived from the already-patched previous level via
-    :func:`repro.perf.rows_spmm` (which bounds its transient working set
-    to ``chunk_rows`` selected rows at a time). Returns the number of
-    rows recomputed. The result is exact: untouched rows are
-    bit-identical to a full recompute by the locality argument in the
-    module docstring.
-
-    Dirty frontiers are cumulative, so once the BFS saturates,
-    consecutive depths share an identical row set — the decoded
-    :class:`~repro.perf.kernels.RowBand` of that set is reused across
-    those depths instead of re-decoding the operator's row spans per
-    depth (the right-hand side still changes every depth: it is the
-    freshly patched previous level).
+    :func:`repro.perf.rows_spmm`. Returns the number of rows recomputed.
+    The result is exact: untouched rows are bit-identical to a full
+    recompute by the locality argument in the module docstring.
     """
     if len(dirty_per_depth) != len(stack) - 1:
         raise ConfigError(
             f"need one dirty set per propagation depth "
             f"({len(stack) - 1}), got {len(dirty_per_depth)}"
         )
-    check_int_range("chunk_rows", chunk_rows, 1)
-    operator = operator.tocsr()
     rows_recomputed = 0
-    band = None
     for depth, rows in enumerate(dirty_per_depth, start=1):
         if len(rows) == 0:
             continue
         rows = np.asarray(rows, dtype=np.int64)
-        if band is not None and not band.matches(rows):
-            band = None
-        if (
-            band is None
-            and len(rows) <= chunk_rows
-            and kernels.kernel_supported(operator, stack[depth - 1])
-        ):
-            band = kernels.RowBand(operator, rows)
-        stack[depth][rows] = rows_spmm(
-            operator, rows, stack[depth - 1], chunk_rows=chunk_rows, band=band
-        )
+        stack[depth][rows] = rows_spmm(operator, rows, stack[depth - 1])
         rows_recomputed += len(rows)
     return rows_recomputed

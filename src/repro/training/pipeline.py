@@ -197,7 +197,6 @@ def precompute_stage_profile(
     graph: Graph,
     k_hops: int = 2,
     kind: str = "gcn",
-    chunk_rows: int | None = None,
 ) -> tuple[float, float]:
     """Measured (cold, warm) seconds of the decoupled precompute stage.
 
@@ -215,15 +214,12 @@ def precompute_stage_profile(
     of this synthetic double-run. Kept as a lightweight cost-model probe
     for :func:`plan_execution`.
     """
-    from repro.perf import DEFAULT_CHUNK_ROWS, OperatorCache, PropagationEngine
+    from repro.perf import OperatorCache, PropagationEngine
 
     check_int_range("k_hops", k_hops, 0)
     if graph.x is None:
         raise ConfigError("precompute_stage_profile needs node features")
-    engine = PropagationEngine(
-        cache=OperatorCache(),
-        chunk_rows=chunk_rows if chunk_rows is not None else DEFAULT_CHUNK_ROWS,
-    )
+    engine = PropagationEngine(cache=OperatorCache())
     cold, warm = Timer(), Timer()
     with cold:
         engine.propagate(graph, graph.x, k_hops, kind=kind)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analytics.ppr import ppr_forward_push, ppr_power_iteration
 from repro.errors import GraphError
-from repro.graph import barabasi_albert_graph, path_graph
+from repro.graph import Graph, barabasi_albert_graph, path_graph
 from repro.graph.dynamic import DynamicGraph, IncrementalPPR
 
 
@@ -64,6 +64,24 @@ class TestDynamicGraph:
         assert np.array_equal(snap.x, featured_graph.x)
         assert np.array_equal(snap.y, featured_graph.y)
         assert snap.has_edge(u, v)
+
+    def test_snapshot_rows_sorted_after_inserts(self, ba_graph):
+        # Regression: inserts appended to the neighbour lists, so touched
+        # snapshot rows came out unsorted and the operators built from them
+        # summed rows in a different order than a from-scratch graph.
+        dyn = DynamicGraph.from_graph(ba_graph)
+        edges = {tuple(sorted(e)) for e in zip(*ba_graph.adjacency().nonzero())}
+        rng = np.random.default_rng(0)
+        while len(edges) < ba_graph.n_undirected_edges + 5:
+            u, v = sorted(int(w) for w in rng.integers(0, ba_graph.n_nodes, 2))
+            if u != v and (u, v) not in edges:
+                dyn.insert_edge(v, u)
+                edges.add((u, v))
+        snap = dyn.snapshot().adjacency()
+        fresh = Graph.from_edges(sorted(edges), ba_graph.n_nodes).adjacency()
+        assert snap.has_sorted_indices
+        assert np.array_equal(snap.indptr, fresh.indptr)
+        assert np.array_equal(snap.indices, fresh.indices)
 
 
 class TestIncrementalPPR:

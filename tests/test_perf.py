@@ -1,13 +1,15 @@
 """Tests for repro.perf: fingerprints, bounded memo, operator cache,
-propagation engine."""
+propagation engine, and the hop oracles every SpMM must meet bitwise."""
 
 import gc
+import inspect
 import sys
 import threading
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.errors import ConfigError
 from repro.graph import Graph, barabasi_albert_graph, normalized_adjacency
@@ -18,13 +20,15 @@ from repro.perf import (
     OperatorCache,
     PropagationEngine,
     array_fingerprint,
-    chunked_spmm,
     get_default_cache,
     get_default_engine,
     graph_fingerprint,
+    rows_spmm,
     set_default_cache,
     set_default_engine,
+    spmm,
 )
+from repro.resilience import FaultSpec, inject
 from repro.training import precompute_stage_profile, train_decoupled
 
 
@@ -255,28 +259,89 @@ class TestOperatorCache:
             set_default_cache(old)
 
 
-class TestChunkedSpmm:
-    def test_matches_monolithic(self, ba_graph, rng):
+class TestSpmm:
+    def test_matches_scipy_product(self, ba_graph, rng):
         op = propagation_matrix(ba_graph, scheme="gcn")
         x = rng.normal(size=(ba_graph.n_nodes, 7))
-        assert np.allclose(chunked_spmm(op, x, chunk_rows=13), op @ x)
+        assert np.array_equal(spmm(op, x), op @ x)
 
     def test_vector_input(self, ba_graph, rng):
         op = propagation_matrix(ba_graph, scheme="gcn")
         v = rng.normal(size=ba_graph.n_nodes)
-        assert np.allclose(chunked_spmm(op, v, chunk_rows=17), op @ v)
+        assert np.array_equal(spmm(op, v), op @ v)
 
-    def test_single_chunk_fast_path(self, triangle, rng):
-        op = propagation_matrix(triangle, scheme="gcn")
-        x = rng.normal(size=(3, 2))
-        assert np.allclose(chunked_spmm(op, x, chunk_rows=100), op @ x)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 7, 33])
+    def test_bitwise_equal_to_scipy(self, dtype, width):
+        op = sp.random(300, 300, density=0.03, format="csr", dtype=dtype,
+                       random_state=width)
+        x = np.random.default_rng(width).normal(size=(300, width)).astype(dtype)
+        got = spmm(op, x)
+        assert got.dtype == dtype and got.shape == (300, width)
+        assert np.array_equal(got, op @ x)
+
+
+class TestHopOracles:
+    """Every hop is exactly scipy's ``operator @ previous hop``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["gcn", "rw", "lazy", "col", "sym", "lap"])
+    def test_hop_is_operator_times_previous_hop(self, featured_ba, kind, dtype):
+        engine = PropagationEngine(cache=OperatorCache(), dtype=dtype)
+        alpha = 0.5 if kind == "lazy" else None
+        stack = engine.propagate(featured_ba, featured_ba.x, 3, kind=kind,
+                                 alpha=alpha)
+        op = engine.operator(featured_ba, kind, alpha, dtype=dtype)
+        assert op.dtype == dtype
+        for i in range(1, 4):
+            assert stack[i].dtype == dtype
+            assert np.array_equal(stack[i], op @ stack[i - 1])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[0, 3, 3, 17, 149, 42], [], [-1, -150, 10], list(range(0, 150, 7))],
+        ids=["repeated", "empty", "negative", "strided"],
+    )
+    def test_rows_spmm_is_product_rows(self, featured_ba, rows):
+        op = propagation_matrix(featured_ba, scheme="gcn")
+        rows = np.asarray(rows, dtype=np.int64)
+        got = rows_spmm(op, rows, featured_ba.x)
+        assert got.shape == (len(rows), featured_ba.x.shape[1])
+        assert np.array_equal(got, (op @ featured_ba.x)[rows])
+
+    def test_rows_spmm_vector_input(self, featured_ba):
+        op = propagation_matrix(featured_ba, scheme="gcn")
+        v = featured_ba.x[:, 0].copy()
+        rows = np.array([5, 0, 149, 5])
+        got = rows_spmm(op, rows, v)
+        assert got.shape == (4,)
+        assert np.array_equal(got, (op @ v)[rows])
+
+    @pytest.mark.parametrize("kind", ["corrupt", "drop"])
+    def test_both_products_fire_the_hop_fault_site(self, featured_ba, kind):
+        op = propagation_matrix(featured_ba, scheme="gcn")
+        x, rows = featured_ba.x, np.arange(0, 150, 7)
+        with inject([FaultSpec("propagation.hop", kind)]) as injector:
+            full, part = spmm(op, x), rows_spmm(op, rows, x)
+        assert injector.calls("propagation.hop") == 2
+        if kind == "drop":
+            assert not full.any() and not part.any()
+        else:
+            assert not np.array_equal(full, op @ x)
+            assert not np.array_equal(part, (op @ x)[rows])
 
 
 class TestPropagationEngine:
-    def test_chunked_stack_matches_dense_loop(self, featured_ba):
-        engine = PropagationEngine(cache=OperatorCache(), chunk_rows=11)
+    def test_init_takes_cache_max_stacks_dtype_only(self):
+        params = inspect.signature(PropagationEngine.__init__).parameters
+        assert list(params) == ["self", "cache", "max_stacks", "dtype"]
+        engine = PropagationEngine(OperatorCache(), 2, np.float32)
+        assert engine.max_stacks == 2 and engine.dtype == np.float32
+
+    def test_stack_matches_dense_loop(self, featured_ba):
+        engine = PropagationEngine(cache=OperatorCache())
         stack = engine.propagate(featured_ba, featured_ba.x, 3, kind="gcn")
-        prop = propagation_matrix(featured_ba, scheme="gcn")
+        prop = propagation_matrix(featured_ba, scheme="gcn").toarray()
         ref = featured_ba.x
         for k in range(1, 4):
             ref = prop @ ref
@@ -319,12 +384,12 @@ class TestPropagationEngine:
         assert engine.stats.misses == 2
 
     def test_clear_releases_the_operators_it_built(self, featured_ba):
-        # The fused gcn hop wraps the cached A + I; clearing both caches
-        # must release that adjacency, wrapper included.
+        # The gcn hops multiply by the cached operator; clearing both
+        # caches must release it.
         cache = OperatorCache()
         engine = PropagationEngine(cache=cache)
         engine.propagate(featured_ba, featured_ba.x, 2, kind="gcn")
-        ref = weakref.ref(cache.adjacency(featured_ba, self_loops=True))
+        ref = weakref.ref(engine.operator(featured_ba, "gcn"))
         engine.clear()
         cache.clear()
         gc.collect()

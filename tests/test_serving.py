@@ -456,7 +456,7 @@ class TestIncrementalInvalidation:
         assert rows == sum(len(d) for d in dirty)
         fresh = PropagationEngine().propagate(new_graph, new_graph.x, k)
         for depth in range(k + 1):
-            assert np.allclose(stack[depth], fresh[depth], atol=1e-12)
+            assert np.array_equal(stack[depth], fresh[depth])
 
     def test_patch_touches_strictly_fewer_rows_than_full(self, served_setup):
         graph, _ = served_setup
@@ -675,7 +675,7 @@ class TestServingEngine:
             record.graph, record.graph.x, record.k_hops
         )
         for depth in range(record.k_hops + 1):
-            assert np.allclose(record.stack[depth], fresh[depth], atol=1e-12)
+            assert np.array_equal(record.stack[depth], fresh[depth])
 
     def test_batched_update_shares_one_patch_pass(self, served_setup):
         graph, model = served_setup
@@ -694,7 +694,7 @@ class TestServingEngine:
             record.graph, record.graph.x, record.k_hops
         )
         for depth in range(record.k_hops + 1):
-            assert np.allclose(record.stack[depth], fresh[depth], atol=1e-12)
+            assert np.array_equal(record.stack[depth], fresh[depth])
 
     def test_node_out_of_range_rejected(self, served_setup):
         graph, model = served_setup

@@ -9,6 +9,7 @@ bounded timeouts, mirroring tests/test_distributed.py.
 
 import json
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -555,10 +556,14 @@ class TestSamplingProfiler:
         assert snap["unique_frames"] > 0
 
     def test_background_thread_lifecycle(self):
+        # Stay busy until the thread has sampled at least once: a fixed
+        # amount of work can finish before a loaded host schedules it.
+        deadline = time.monotonic() + 10.0
         with SamplingProfiler(interval_s=0.001, package_filter="") as prof:
             total = 0
-            for i in range(200_000):
-                total += i
+            while prof.samples == 0 and time.monotonic() < deadline:
+                for i in range(10_000):
+                    total += i
         assert prof.samples > 0
         assert not prof.running
 
