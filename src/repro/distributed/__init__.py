@@ -1,12 +1,17 @@
 """Process-parallel distributed training over shared-memory shards.
 
-The real counterpart of :func:`repro.training.simulate_distributed_training`:
 ``spawn``-ed worker processes, one per partition part, attach the
 coordinator-published feature matrix and per-shard CSR arrays zero-copy
 from ``multiprocessing.shared_memory``, exchange halo feature rows per
 cross-partition arc every round, and synchronise parameters through the
-coordinator with train-node-weighted averaging — the simulation's
-semantics, executed for real. Pick a backend with :func:`get_backend`::
+coordinator with train-node-weighted averaging.
+
+:func:`repro.training.simulate_distributed_training` is not an oracle
+for these runs: it trains each worker on its induced subgraph with
+cross-partition edges dropped, while the process workers train on
+halo-augmented shards. The two share only the communication accounting
+(halo and parameter-sync floats) and the averaging rule. Pick a backend
+with :func:`get_backend`::
 
     from repro.distributed import get_backend
 
@@ -15,11 +20,12 @@ semantics, executed for real. Pick a backend with :func:`get_backend`::
     assert result.halo_floats_received == \
         result.halo_floats_per_epoch * result.epochs
 
+Every process run watches its workers through one :class:`Supervisor`;
+unsupervised, it evicts dead ranks and the survivors renormalise.
 Passing ``supervise=True`` (or a :class:`LeasePolicy`) to
-:meth:`ProcessBackend.run` turns on the self-healing layer: heartbeat
-leases, a coordinator :class:`Supervisor` that respawns or evicts
-expired ranks, and generation-fenced bit-exact rejoin (see
-:mod:`repro.distributed.supervisor`).
+:meth:`ProcessBackend.run` adds the self-healing layer: heartbeat
+leases, respawn of expired ranks, and generation-fenced bit-exact
+rejoin (see :mod:`repro.distributed.supervisor`).
 
 See ``DESIGN.md`` ("Process-parallel distributed training" and
 "Membership, leases, and self-healing") for the process topology,

@@ -3,18 +3,23 @@
 :class:`DistributedBackend` is the common face of partition-parallel
 training. Two implementations:
 
-* :class:`SimulatedBackend` — wraps
+* :class:`SimulatedBackend` — forwards to
   :func:`repro.training.simulate_distributed_training`, the in-process
-  reference: analytic communication accounting, no processes. This is
-  the semantics oracle the real backend is tested against.
+  analytic model: no processes, each worker trains on its *induced*
+  subgraph with cross-partition edges dropped.
 * :class:`ProcessBackend` — real ``spawn``-ed worker processes over
   shared-memory graph shards (:mod:`repro.distributed.shm`,
   :mod:`repro.distributed.shards`): the coordinator publishes the
   feature matrix and per-shard CSR arrays once, workers attach
-  zero-copy, exchange halo feature rows per cross-partition arc through
-  pairwise shared buffers, and synchronise parameters each round with
-  averaging weighted by local train-node count — the same semantics the
-  simulation defines.
+  zero-copy, train on *halo-augmented* shards — halo feature rows per
+  cross-partition arc arrive through pairwise shared buffers — and
+  synchronise parameters each round.
+
+The two train different models. They share the communication
+accounting (``cross_partition_arcs × feature dim`` halo floats per
+epoch, ``2 × n_params × n_parts`` sync floats per round) and the
+averaging rule (weights = local train-node counts, renormalised over
+the contributors), and both return a :class:`BackendResult`.
 
 Control plane (all shared memory, no queues — see
 :mod:`repro.distributed.worker` for why queues cannot survive a killed
@@ -23,19 +28,18 @@ meta block ``(round, n_train, failed, generation)``; the coordinator
 owns one flat ``params`` vector plus a round cell. A writer always
 fills the payload first and advances its round cell last, so a reader
 that sees round ``r`` is guaranteed a complete round-``r`` payload.
-Worker death is detected by ``Process.is_alive`` polling whenever the
-gather stalls; a dead rank's byte in the shared ``alive`` array is
-zeroed (the only coordinator-written worker-visible flag), the round's
-average is renormalised over the survivors, and peers fall back to
-stale ghost rows instead of waiting on the dead rank's halo buffer.
 
-Passing ``supervise=`` to :meth:`ProcessBackend.run` upgrades that
-passive tolerance to *active recovery*: per-rank heartbeat leases, a
-:class:`~repro.distributed.supervisor.Supervisor` that respawns or
-evicts expired ranks under a
-:class:`~repro.distributed.supervisor.LeasePolicy`, generation-fenced
-rejoin from per-round resume checkpoints, and per-rank recovery-latency
-accounting (see :mod:`repro.distributed.supervisor` for the protocol).
+Membership has one path: a
+:class:`~repro.distributed.supervisor.Supervisor` polls the workers
+whenever the gather stalls. Without ``supervise=`` it runs
+``LeasePolicy(on_expiry="evict")`` with no lease plane: a dead rank's
+byte in the shared ``alive`` array is zeroed (the only
+coordinator-written worker-visible flag), the round's average is
+renormalised over the survivors, and peers fall back to stale ghost rows
+instead of waiting on the dead rank's halo buffer. ``supervise=`` adds
+the lease plane — per-rank heartbeat leases and per-round resume
+checkpoints — so the policy can also respawn a rank, which rejoins
+generation-fenced and bit-exact (see :mod:`repro.distributed.supervisor`).
 
 Cleanup is unconditional: the arena unlink and worker terminate/kill
 sweep run in a ``finally`` that covers normal completion, worker
@@ -45,7 +49,11 @@ crashes, chaos kills, and coordinator timeouts — no exit path strands
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import multiprocessing as mp
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +61,29 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.distributed.shards import build_shard_plan
+from repro.distributed.shm import ShmArena
+from repro.distributed.supervisor import (
+    LEASE_CELLS,
+    LEASE_ROUND,
+    LeasePolicy,
+    Supervisor,
+)
+from repro.distributed.worker import (
+    DONE_FIELDS,
+    META_CELLS,
+    META_FAILED,
+    META_GENERATION,
+    META_N_TRAIN,
+    META_ROUND,
+    WorkerSpec,
+    flatten_state,
+    unflatten_state,
+    worker_main,
+)
 from repro.errors import ConfigError, DistributedError
+from repro.models.gcn import GCN
+from repro.tensor.autograd import no_grad
 from repro.utils.validation import check_int_range
 
 _LOG = obs.get_logger("repro.distributed.backend")
@@ -72,10 +102,11 @@ class BackendResult:
     ``param_sync_floats_per_round``, ``cross_partition_arcs``) mean the
     same thing for both backends; the measured fields
     (``halo_floats_shipped`` / ``halo_floats_received``, attach
-    accounting, wall time) are only non-zero for the process backend —
-    in a healthy run ``halo_floats_received`` equals
+    accounting) are only non-zero for the process backend — in a
+    healthy run ``halo_floats_received`` equals
     ``halo_floats_per_epoch × epochs`` exactly, by the per-arc exchange
-    construction.
+    construction. ``checkpoint_restores`` counts the simulation's
+    ``recovery="restart"`` rollbacks.
     """
 
     backend: str
@@ -91,10 +122,9 @@ class BackendResult:
     worker_failures: int = 0
     straggler_events: int = 0
     degraded_rounds: int = 0
-    checkpoint_saves: int = 0
     checkpoint_restores: int = 0
     workers_lost: int = 0
-    # active recovery (populated only under supervise=)
+    # membership (the process backend's Supervisor)
     respawns: int = 0
     evictions: int = 0
     leases_expired: int = 0
@@ -120,51 +150,37 @@ class DistributedBackend:
 
     name = "abstract"
 
-    def run(
-        self,
-        graph,
-        split,
-        assignment: np.ndarray,
-        n_parts: int,
-        **kwargs,
-    ) -> BackendResult:
+    def run(self, graph, split, assignment: np.ndarray, n_parts: int,
+            **kwargs) -> BackendResult:
         raise NotImplementedError
 
 
 class SimulatedBackend(DistributedBackend):
-    """The in-process reference backend (analytic communication)."""
+    """The in-process analytic backend (no processes)."""
 
     name = "simulated"
 
-    def run(
-        self,
-        graph,
-        split,
-        assignment: np.ndarray,
-        n_parts: int,
-        **kwargs,
-    ) -> BackendResult:
+    def run(self, graph, split, assignment: np.ndarray, n_parts: int,
+            **kwargs) -> BackendResult:
         from repro.training.distributed import simulate_distributed_training
 
-        start = time.monotonic()
-        sim = simulate_distributed_training(
+        return simulate_distributed_training(
             graph, split, assignment, n_parts, **kwargs
         )
-        return BackendResult(
-            backend=self.name,
-            test_accuracy=sim.test_accuracy,
-            epochs=int(kwargs.get("epochs", 50)),
-            n_parts=int(n_parts),
-            cross_partition_arcs=sim.cross_partition_arcs,
-            halo_floats_per_epoch=sim.halo_floats_per_epoch,
-            param_sync_floats_per_round=sim.param_sync_floats_per_round,
-            worker_failures=sim.worker_failures,
-            straggler_events=sim.straggler_events,
-            degraded_rounds=sim.degraded_rounds,
-            checkpoint_restores=sim.checkpoint_restores,
-            wall_time_s=time.monotonic() - start,
-            recovery=sim.recovery,
-        )
+
+
+def _lease_policy(supervise) -> LeasePolicy | None:
+    """The lease-plane policy ``supervise=`` asks for (None: no plane)."""
+    if supervise is None or supervise is False:
+        return None
+    if supervise is True:
+        return LeasePolicy()
+    if isinstance(supervise, LeasePolicy):
+        return supervise
+    raise ConfigError(
+        "supervise takes None, a bool, or a LeasePolicy, "
+        f"got {type(supervise).__name__}"
+    )
 
 
 class ProcessBackend(DistributedBackend):
@@ -179,16 +195,11 @@ class ProcessBackend(DistributedBackend):
     name = "process"
 
     def __init__(self) -> None:
-        self._counters = {
-            "runs": 0,
-            "halo_floats_shipped": 0,
-            "halo_floats_received": 0,
-            "sync_rounds": 0,
-            "attaches": 0,
-            "workers_lost": 0,
-            "respawns": 0,
-            "evictions": 0,
-        }
+        self._counters = dict.fromkeys((
+            "runs", "halo_floats_shipped", "halo_floats_received",
+            "sync_rounds", "attaches", "workers_lost", "respawns",
+            "evictions",
+        ), 0)
         #: The merged per-rank metrics view of the most recent
         #: telemetry-enabled run (a ClusterMetrics, or None).
         self.last_cluster = None
@@ -221,8 +232,6 @@ class ProcessBackend(DistributedBackend):
         seed: int = 0,
         fault_plan=None,
         fault_seed: int = 0,
-        checkpoint_dir: str | None = None,
-        checkpoint_every: int = 0,
         timeout_s: float = 300.0,
         round_hook=None,
         supervise=None,
@@ -240,17 +249,19 @@ class ProcessBackend(DistributedBackend):
         the whole run; exceeding it tears everything down and raises
         :class:`repro.errors.DistributedError`.
 
-        ``supervise`` switches active recovery on: ``True`` runs a
-        :class:`~repro.distributed.supervisor.Supervisor` under the
-        default :class:`~repro.distributed.supervisor.LeasePolicy`, a
-        ``LeasePolicy`` instance tunes it, ``None``/``False`` keep the
-        passive renormalise-over-survivors behaviour. When supervised,
-        every worker heartbeats a lease cell and saves a per-round
-        resume checkpoint under ``resume_dir`` (a per-run temporary
-        directory when not given — pass a fresh directory per run, stale
-        snapshots from an earlier run would poison a rejoin); a rank
-        whose lease expires or whose process dies is respawned with a
-        bumped generation (fencing) token and rejoins bit-exactly.
+        Every run watches its workers through one
+        :class:`~repro.distributed.supervisor.Supervisor`.
+        ``supervise=None``/``False`` runs it under
+        ``LeasePolicy(on_expiry="evict")`` with no lease plane: a dead
+        rank is evicted and the survivors renormalise. ``True`` (the
+        default :class:`~repro.distributed.supervisor.LeasePolicy`) or
+        a ``LeasePolicy`` instance adds the lease plane: every worker
+        heartbeats a lease cell and saves a per-round resume checkpoint
+        under ``resume_dir`` (a per-run temporary directory when not
+        given — pass a fresh directory per run, stale snapshots from an
+        earlier run would poison a rejoin); a rank whose lease expires
+        or whose process dies is respawned with a bumped generation
+        (fencing) token and rejoins bit-exactly.
 
         ``telemetry`` switches the :mod:`repro.obs.telemetry` plane —
         ``None`` follows the process-global ``obs.enabled()`` flag. When
@@ -263,671 +274,564 @@ class ProcessBackend(DistributedBackend):
         ``cluster_snapshot`` (a chaos-killed rank's last published
         counters included).
         """
-        import dataclasses
-
-        from repro.distributed.shards import build_shard_plan
-        from repro.distributed.supervisor import (
-            LEASE_CELLS,
-            LEASE_ROUND,
-            LeasePolicy,
-            Supervisor,
-        )
-        from repro.distributed.worker import (
-            DONE_FIELDS,
-            META_CELLS,
-            META_GENERATION,
-            META_ROUND,
-            WorkerSpec,
-            flatten_state,
-            unflatten_state,
-            worker_main,
-        )
-        from repro.models.gcn import GCN
-        from repro.tensor.autograd import no_grad
-        from repro.training.metrics import accuracy
-
         if graph.x is None or graph.y is None:
             raise ConfigError("graph needs features and labels")
         check_int_range("n_parts", n_parts, 1)
         check_int_range("epochs", epochs, 1)
-        assignment = np.asarray(assignment, dtype=np.int64)
+        return _Coordinator(
+            self, graph, split, assignment, int(n_parts),
+            epochs=int(epochs), hidden=hidden, lr=lr,
+            weight_decay=weight_decay, dropout=dropout, seed=seed,
+            fault_plan=fault_plan, fault_seed=fault_seed,
+            timeout_s=float(timeout_s), round_hook=round_hook,
+            lease_policy=_lease_policy(supervise), resume_dir=resume_dir,
+            telemetry=(
+                obs.OBS.enabled if telemetry is None else bool(telemetry)
+            ),
+            telemetry_dir=telemetry_dir,
+        ).execute()
 
-        if supervise is None or supervise is False:
-            policy = None
-        elif supervise is True:
-            policy = LeasePolicy()
-        elif isinstance(supervise, LeasePolicy):
-            policy = supervise
-        else:
-            raise ConfigError(
-                "supervise takes None, a bool, or a LeasePolicy, "
-                f"got {type(supervise).__name__}"
+
+@dataclass(eq=False)
+class _Coordinator:
+    """One :meth:`ProcessBackend.run`, as an explicit sequence of phases.
+
+    plan → publish → launch → per round: gather / fence / average →
+    collect reports → evaluate → result, with the teardown in one
+    ``finally``. ``lease_policy`` is ``None`` for an unsupervised run;
+    the supervisor then runs the ``evict`` policy with no lease plane.
+    """
+
+    backend: ProcessBackend
+    graph: object
+    split: object
+    assignment: np.ndarray
+    n_parts: int
+    epochs: int
+    hidden: int
+    lr: float
+    weight_decay: float
+    dropout: float
+    seed: int
+    fault_plan: object
+    fault_seed: int
+    timeout_s: float
+    round_hook: object
+    lease_policy: LeasePolicy | None
+    resume_dir: str | None
+    telemetry: bool
+    telemetry_dir: str | None
+
+    # Phase outputs that stay unset when their phase is off or not
+    # reached; ``tele`` holds the repro.obs.telemetry module while on.
+    alive = leases = run_cm = tele = cluster = tele_dir = trace_ctx = None
+    made_resume_dir = False
+
+    def __post_init__(self) -> None:
+        self.policy = self.lease_policy or LeasePolicy(on_expiry="evict")
+        self.arena = ShmArena()
+        self.processes: list = []
+        self.specs: list[WorkerSpec] = []
+        self.metrics_views: list = []
+        self.expected = set(range(self.n_parts))
+        #: Run counters, named after the BackendResult fields they fill.
+        self.totals = dict.fromkeys((
+            "worker_failures", "straggler_events", "degraded_rounds",
+            "sync_rounds", "workers_lost",
+            "halo_floats_shipped", "halo_floats_received",
+        ), 0)
+        self.attach_stats = {"attaches": 0, "mapped_bytes": 0, "copied_bytes": 0}
+
+    # ---- phases -------------------------------------------------------
+
+    def execute(self) -> BackendResult:
+        with obs.span("distributed.plan", n_parts=self.n_parts):
+            self.plan = build_shard_plan(
+                self.graph, self.assignment, self.n_parts
             )
-
-        with obs.span("distributed.plan", n_parts=n_parts):
-            plan = build_shard_plan(graph, assignment, n_parts)
-        feature_dim = graph.x.shape[1]
-        n_classes = graph.n_classes
-        train_mask = np.zeros(graph.n_nodes, dtype=bool)
-        train_mask[split.train] = True
-
-        model = GCN(
-            feature_dim, hidden, n_classes,
-            n_layers=2, dropout=dropout, seed=seed,
+        self.model = GCN(
+            self.graph.x.shape[1], self.hidden, self.graph.n_classes,
+            n_layers=2, dropout=self.dropout, seed=self.seed,
         )
-        n_params = model.n_parameters()
-        template = model.state_dict()
-        init_flat = flatten_state(template)
-
-        from repro.distributed.shm import ShmArena
-
-        start = time.monotonic()
-        deadline = start + float(timeout_s)
-        ctx = mp.get_context("spawn")
-        arena = ShmArena()
-        processes: list = []
-        alive_view = None
-        supervisor = None
-
-        # Resume checkpoints need a directory; a supervised run without
-        # one gets a per-run tempdir, removed in the finally sweep.
-        resume_root = resume_dir
-        made_resume_dir = False
-        if policy is not None and resume_root is None:
-            import tempfile
-
-            resume_root = tempfile.mkdtemp(prefix="repro-dist-resume-")
-            made_resume_dir = True
-
-        # ---- telemetry plane (None follows the global obs switch) ------
-        telemetry_enabled = (
-            obs.OBS.enabled if telemetry is None else bool(telemetry)
-        )
-        tele = None
-        cluster = None
-        tctx = None
-        tele_dir = None
-        metrics_views: list = []
-        dead_ranks: set[int] = set()
-        if telemetry_enabled:
-            import tempfile
-
-            from repro.obs import telemetry as tele
-
-            if not obs.OBS.enabled:
-                obs.configure(enabled=True)
-            tele_dir = Path(
-                telemetry_dir
-                or tempfile.mkdtemp(prefix="repro-telemetry-")
-            )
-            tele_dir.mkdir(parents=True, exist_ok=True)
-            cluster = tele.ClusterMetrics()
-            # Strong ref on the backend: register_source keeps only a
-            # weakref, and the cluster view must outlive run() so the
-            # coordinator's snapshot() still answers after a chaos kill.
-            self.last_cluster = cluster
-            obs.register_source("cluster", cluster)
-
-        def _harvest_metrics() -> None:
-            """Fold every rank's newest published registry dump into the
-            cluster view — including a chaos-killed rank's last complete
-            publication (the seq-last protocol guarantees it is whole)."""
-            if cluster is None:
-                return
-            for p, (buf, meta) in enumerate(metrics_views):
-                seq, blob = tele.read_blob(buf, meta)
-                if blob is None:
-                    continue
-                payload = tele.decode_payload(blob)
-                if payload is not None:
-                    cluster.ingest(
-                        p, payload, seq=seq, live=p not in dead_ranks
-                    )
-
-        # The run span is the coordinator anchor every rank's span tree
-        # grafts under at assembly (a no-op NullSpan while obs is off).
-        run_cm = obs.span(
-            "distributed.run", n_parts=int(n_parts), backend=self.name
-        )
-        run_span = run_cm.__enter__()
-        run_open = True
-        if telemetry_enabled:
-            tctx = tele.TraceContext.from_span(run_span, backend=self.name)
+        self.template = self.model.state_dict()
+        self.averaged = flatten_state(self.template)
+        self.start = time.monotonic()
+        self.deadline = self.start + self.timeout_s
         try:
-            # ---- publish the data + control plane once -----------------
+            # Resume checkpoints need a directory; a supervised run
+            # without one gets a per-run tempdir, removed at teardown.
+            self.resume_root = self.resume_dir
+            if self.lease_policy is not None and self.resume_root is None:
+                self.resume_root = tempfile.mkdtemp(prefix="repro-dist-resume-")
+                self.made_resume_dir = True
+            if self.telemetry:
+                self._open_telemetry()
+            # The run span is the coordinator anchor every rank's span
+            # tree grafts under at assembly (a NullSpan while obs is off).
+            self.run_cm = obs.span(
+                "distributed.run", n_parts=self.n_parts,
+                backend=self.backend.name,
+            )
+            self.run_span = self.run_cm.__enter__()
             with obs.span("distributed.publish"):
-                handles = {
-                    "x": arena.publish("x", np.ascontiguousarray(graph.x)),
-                    "y": arena.publish("y", graph.y.astype(np.int64)),
-                    "train_mask": arena.publish("train-mask", train_mask),
-                    "alive": arena.publish(
-                        "alive", np.ones(n_parts, dtype=np.uint8)
-                    ),
-                    "params": arena.publish("params", init_flat),
-                    "params_round": arena.publish(
-                        "params-round", np.full(1, -1, dtype=np.int64)
-                    ),
-                }
-                shard_handles = []
-                for p, shard in enumerate(plan.shards):
-                    sh = {
-                        "indptr": arena.publish(f"s{p}-indptr", shard.indptr),
-                        "indices": arena.publish(f"s{p}-indices", shard.indices),
-                        "weights": arena.publish(f"s{p}-weights", shard.weights),
-                        "owned": arena.publish(f"s{p}-owned", shard.owned),
-                        "ghosts": arena.publish(f"s{p}-ghosts", shard.ghosts),
-                        "send": {
-                            q: arena.publish(f"s{p}-send-{q}", idx)
-                            for q, idx in shard.send.items()
-                        },
-                        "recv": {
-                            q: arena.publish(f"s{p}-recv-{q}", idx)
-                            for q, idx in shard.recv.items()
-                        },
-                        "state": arena.publish(
-                            f"state-{p}", np.zeros_like(init_flat)
-                        ),
-                        # [round, n_train, failed, generation]; the
-                        # round cell starts unpublished.
-                        "state_meta": arena.publish(
-                            f"state-meta-{p}",
-                            np.array(
-                                [-1] + [0] * (META_CELLS - 1),
-                                dtype=np.int64,
-                            ),
-                        ),
-                        "done": arena.publish(
-                            f"done-{p}",
-                            np.zeros(1 + len(DONE_FIELDS), dtype=np.int64),
-                        ),
-                    }
-                    shard_handles.append(sh)
-                # Pairwise halo buffers: payload (arcs × dim) + round cell,
-                # writer-owned on the source side.
-                halo_handles: dict[tuple[int, int], tuple] = {}
-                for p, shard in enumerate(plan.shards):
-                    for q, idx in shard.send.items():
-                        halo_handles[(p, q)] = (
-                            arena.publish(
-                                f"halo-{p}-{q}",
-                                np.zeros((len(idx), feature_dim)),
-                            ),
-                            arena.publish(
-                                f"halo-{p}-{q}-round",
-                                np.full(1, -1, dtype=np.int64),
-                            ),
-                        )
-                # Per-rank heartbeat lease cells (supervised runs only):
-                # written payload-first sequence-last by each worker's
-                # heartbeat thread, read by the Supervisor.
-                lease_handles: list = []
-                if policy is not None:
-                    for p in range(n_parts):
-                        cell = np.zeros(LEASE_CELLS, dtype=np.int64)
-                        cell[LEASE_ROUND] = -1
-                        lease_handles.append(
-                            arena.publish(f"lease-{p}", cell)
-                        )
-                # Per-rank metrics cells: payload segment + (seq, length)
-                # meta, written payload-first seq-last by the worker.
-                metrics_handles: list[tuple] = []
-                if telemetry_enabled:
-                    for p in range(n_parts):
-                        metrics_handles.append((
-                            arena.publish(
-                                f"metrics-{p}",
-                                np.zeros(
-                                    tele.METRICS_SEGMENT_BYTES,
-                                    dtype=np.uint8,
-                                ),
-                            ),
-                            arena.publish(
-                                f"metrics-meta-{p}",
-                                np.array([-1, 0], dtype=np.int64),
-                            ),
-                        ))
-            alive_view = arena.view("alive", writable=True)
-            params_view = arena.view("params", writable=True)
-            params_round = arena.view("params-round", writable=True)
-            metas = [arena.view(f"state-meta-{p}") for p in range(n_parts)]
-            states = [arena.view(f"state-{p}") for p in range(n_parts)]
-            dones = [arena.view(f"done-{p}") for p in range(n_parts)]
-            leases = (
-                [arena.view(f"lease-{p}") for p in range(n_parts)]
-                if policy is not None else None
-            )
-            if telemetry_enabled:
-                metrics_views.extend(
-                    (
-                        arena.view(f"metrics-{p}"),
-                        arena.view(f"metrics-meta-{p}"),
-                    )
-                    for p in range(n_parts)
-                )
-
-            # ---- launch ------------------------------------------------
-            import repro
-
-            package_root = str(Path(repro.__file__).resolve().parent.parent)
-            specs: list[WorkerSpec] = []
-            for p, shard in enumerate(plan.shards):
-                sh = shard_handles[p]
-                spec = WorkerSpec(
-                    rank=p,
-                    n_parts=n_parts,
-                    epochs=epochs,
-                    hidden=hidden,
-                    lr=lr,
-                    weight_decay=weight_decay,
-                    dropout=dropout,
-                    seed=seed + 1 + p,
-                    n_classes=n_classes,
-                    directed=shard.directed,
-                    x=handles["x"],
-                    y=handles["y"],
-                    train_mask=handles["train_mask"],
-                    alive=handles["alive"],
-                    indptr=sh["indptr"],
-                    indices=sh["indices"],
-                    weights=sh["weights"],
-                    owned=sh["owned"],
-                    ghosts=sh["ghosts"],
-                    send=sh["send"],
-                    recv=sh["recv"],
-                    halo_out={q: halo_handles[(p, q)] for q in shard.send},
-                    halo_in={q: halo_handles[(q, p)] for q in shard.recv},
-                    params=handles["params"],
-                    params_round=handles["params_round"],
-                    state=sh["state"],
-                    state_meta=sh["state_meta"],
-                    done=sh["done"],
-                    fault_plan=fault_plan,
-                    fault_seed=fault_seed,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=checkpoint_every,
-                    generation=0,
-                    lease=(
-                        lease_handles[p] if policy is not None else None
-                    ),
-                    beat_interval_s=(
-                        policy.beat_interval_s if policy is not None
-                        else 0.05
-                    ),
-                    resume=False,
-                    resume_dir=resume_root,
-                    sync_timeout_s=float(timeout_s),
-                    package_root=package_root,
-                    trace_ctx=(
-                        tctx.to_dict() if tctx is not None else None
-                    ),
-                    span_log_path=(
-                        str(tele_dir / f"rank{p}.jsonl")
-                        if tele_dir is not None
-                        else None
-                    ),
-                    metrics=(
-                        metrics_handles[p][0] if telemetry_enabled else None
-                    ),
-                    metrics_meta=(
-                        metrics_handles[p][1] if telemetry_enabled else None
-                    ),
-                )
-                specs.append(spec)
-                proc = ctx.Process(
-                    target=worker_main,
-                    args=(spec,),
-                    daemon=True,
-                    name=f"repro-dist-w{p}",
-                )
-                proc.start()
-                processes.append(proc)
-
-            # ---- synchronous rounds ------------------------------------
-            expected = set(range(n_parts))
-            totals = {
-                "worker_failures": 0,
-                "straggler_events": 0,
-                "degraded_rounds": 0,
-                "sync_rounds": 0,
-                "workers_lost": 0,
-                "checkpoint_saves": 0,
-                "halo_floats_shipped": 0,
-                "halo_floats_received": 0,
-            }
-            attach_stats = {"attaches": 0, "mapped_bytes": 0, "copied_bytes": 0}
-            averaged_flat = init_flat.copy()
-
-            def _mark_dead(rank: int, why: str) -> None:
-                if rank in expected:
-                    expected.discard(rank)
-                    alive_view[rank] = 0
-                    totals["workers_lost"] += 1
-                    dead_ranks.add(rank)
-                    if cluster is not None:
-                        cluster.mark_dead(rank)
-                    _LOG.warning("worker %d lost (%s)", rank, why)
-
-            def _reap() -> None:
-                for rank in list(expected):
-                    if not processes[rank].is_alive():
-                        _mark_dead(rank, "process died")
-
-            if policy is not None:
-                metas_w = [
-                    arena.view(f"state-meta-{p}", writable=True)
-                    for p in range(n_parts)
-                ]
-
-                def _relaunch(rank: int, generation: int):
-                    # The previous incarnation is confirmed dead by the
-                    # supervisor before this runs, so wiping its round
-                    # cell races nothing: whatever it last published is
-                    # void, and the successor is the segment's only
-                    # writer from here on.
-                    metas_w[rank][META_ROUND] = -1
-                    spec = dataclasses.replace(
-                        specs[rank], generation=generation, resume=True
-                    )
-                    specs[rank] = spec
-                    proc = ctx.Process(
-                        target=worker_main,
-                        args=(spec,),
-                        daemon=True,
-                        name=f"repro-dist-w{rank}g{generation}",
-                    )
-                    proc.start()
-                    return proc
-
-                supervisor = Supervisor(
-                    policy,
-                    n_parts,
-                    processes=processes,
-                    leases=leases,
-                    relaunch=_relaunch,
-                    on_evict=_mark_dead,
-                )
-
-            def _check_membership(
-                round_no: int, skip: set = frozenset()
-            ) -> None:
-                if supervisor is not None:
-                    supervisor.poll(round_no, skip=skip)
-                else:
-                    _reap()
-
-            def _liveness_report(round_no: int) -> str:
-                """Per-rank heartbeat/progress detail for timeout errors."""
-                lines = []
-                diags = (
-                    supervisor.diagnostics()
-                    if supervisor is not None else None
-                )
-                for rank in range(n_parts):
-                    status = (
-                        "alive" if processes[rank].is_alive() else "dead"
-                    )
-                    last_round = int(metas[rank][META_ROUND])
-                    if diags is not None:
-                        age = diags[rank]["beat_age_s"]
-                        beat = (
-                            f"last heartbeat {age:.2f}s ago"
-                            if age is not None
-                            else "no heartbeat observed"
-                        )
-                        extra = (
-                            f", generation {diags[rank]['generation']}"
-                            f", {beat}"
-                        )
-                    else:
-                        extra = ", no lease plane (supervise off)"
-                    lines.append(
-                        f"rank {rank}: {status}, last published round "
-                        f"{last_round}{extra}"
-                    )
-                return (
-                    f"at round {round_no}: " + "; ".join(lines)
-                )
-
-            for round_no in range(epochs):
-                if round_hook is not None:
-                    round_hook(round_no, processes)
-                contributions: dict[int, tuple[np.ndarray | None, int]] = {}
-                next_liveness = time.monotonic()
-                while expected - set(contributions):
-                    if time.monotonic() > deadline:
-                        raise DistributedError(
-                            f"distributed run exceeded {timeout_s}s "
-                            + _liveness_report(round_no)
-                        )
-                    progressed = False
-                    for rank in expected - set(contributions):
-                        meta = metas[rank]
-                        if meta[0] == round_no:
-                            if supervisor is not None:
-                                # Fencing: only the rank's current
-                                # incarnation may contribute — a stale
-                                # generation's publication is discarded,
-                                # never averaged in.
-                                generation = int(meta[META_GENERATION])
-                                if not supervisor.fence_accepts(
-                                    rank, generation
-                                ):
-                                    supervisor.note_fenced_write(
-                                        rank, round_no, generation
-                                    )
-                                    continue
-                                supervisor.note_rejoin(rank, round_no)
-                            failed = bool(meta[2])
-                            if failed:
-                                totals["worker_failures"] += 1
-                                contributions[rank] = (None, 0)
-                            else:
-                                # Copy now: the worker may overwrite its
-                                # vector as soon as the next round opens.
-                                contributions[rank] = (
-                                    states[rank].copy(), int(meta[1])
-                                )
-                            progressed = True
-                    if progressed:
-                        continue
-                    if time.monotonic() >= next_liveness:
-                        _check_membership(round_no)
-                        next_liveness = time.monotonic() + _LIVENESS_EVERY_S
-                    time.sleep(_GATHER_POLL_S)
-                if not expected:
-                    raise DistributedError(
-                        f"all workers lost by round {round_no}"
-                    )
-                # Weighted averaging over surviving, non-failed
-                # contributions — weights are local train-node counts,
-                # renormalised over contributors (simulation semantics).
-                # Fixed rank order: contributions land in arrival order,
-                # and float accumulation is not commutative in rounding —
-                # summing in arrival order would make the averaged params
-                # (and the bit-identity fencing guarantee) racy.
-                live = [
-                    (vec, n_train)
-                    for rank, (vec, n_train) in sorted(contributions.items())
-                    if rank in expected and vec is not None and n_train > 0
-                ]
-                if len(contributions) < n_parts or any(
-                    vec is None for vec, _ in contributions.values()
-                ):
-                    totals["degraded_rounds"] += 1
-                total_weight = sum(n_train for _, n_train in live)
-                if total_weight > 0:
-                    averaged_flat = sum(
-                        (n_train / total_weight) * vec for vec, n_train in live
-                    )
-                params_view[:] = averaged_flat
-                params_round[0] = round_no  # publish last
-                totals["sync_rounds"] += 1
-
-            # ---- final reports -----------------------------------------
-            reported: set[int] = set()
-            while expected - reported:
-                if time.monotonic() > deadline:
-                    raise DistributedError(
-                        "timed out waiting for worker reports "
-                        f"({sorted(expected - reported)} missing) "
-                        + _liveness_report(epochs)
-                    )
-                for rank in list(expected - reported):
-                    # Check the done flag BEFORE liveness: a worker that
-                    # finished, published its block, and exited is
-                    # reported, not lost.
-                    if dones[rank][0] == 1:
-                        counters = dict(zip(DONE_FIELDS, dones[rank][1:]))
-                        totals["straggler_events"] += counters["stragglers"]
-                        totals["checkpoint_saves"] += counters["checkpoint_saves"]
-                        totals["halo_floats_shipped"] += counters[
-                            "halo_floats_shipped"
-                        ]
-                        totals["halo_floats_received"] += counters[
-                            "halo_floats_received"
-                        ]
-                        for key in attach_stats:
-                            attach_stats[key] += counters[key]
-                        reported.add(rank)
-                    elif supervisor is None and not processes[rank].is_alive():
-                        _mark_dead(rank, "died before reporting")
-                if supervisor is not None:
-                    # A rank killed between its last sync and its report
-                    # is respawned like any other: the successor resumes
-                    # past every completed round and reports directly.
-                    # Ranks whose done flag is already up exited cleanly
-                    # and are exempt, reported or not yet.
-                    done_up = {
-                        r for r in range(n_parts) if dones[r][0] == 1
-                    }
-                    _check_membership(epochs, skip=reported | done_up)
-                time.sleep(_GATHER_POLL_S)
-            for proc in processes:
-                proc.join(timeout=5.0)
-
-            # ---- final model: evaluate on the full graph ---------------
-            model.load_state_dict(unflatten_state(averaged_flat, template))
-            model.eval()
-            with obs.span("distributed.eval"), no_grad():
-                logits = model(GCN.prepare(graph), graph.x).data
-            test_acc = accuracy(
-                logits[split.test].argmax(axis=1), graph.y[split.test]
-            )
-
-            self._counters["runs"] += 1
-            for key in (
-                "halo_floats_shipped", "halo_floats_received",
-                "sync_rounds", "workers_lost",
-            ):
-                self._counters[key] += totals[key]
-            self._counters["attaches"] += attach_stats["attaches"]
-            if supervisor is not None:
-                sup_now = supervisor.snapshot()
-                self._counters["respawns"] += int(sup_now["respawns"])
-                self._counters["evictions"] += int(sup_now["evictions"])
-            if obs.OBS.enabled:
-                reg = obs.OBS.registry
-                reg.counter("distributed.halo_floats_shipped").inc(
-                    totals["halo_floats_shipped"]
-                )
-                reg.counter("distributed.sync_rounds").inc(
-                    totals["sync_rounds"]
-                )
-                reg.counter("distributed.attaches").inc(
-                    attach_stats["attaches"]
-                )
-
-            # ---- telemetry: harvest + assemble the cross-process trace -
-            telemetry_fields: dict = {}
-            if telemetry_enabled:
-                run_cm.__exit__(None, None, None)
-                run_open = False
-                _harvest_metrics()
-                span_paths = sorted(tele_dir.glob("rank*.jsonl"))
-                assembled = tele.assemble_trace(
-                    run_span, span_paths, trace_id=tctx.trace_id
-                )
-                telemetry_fields = {
-                    "trace_id": tctx.trace_id,
-                    "trace": assembled.to_dict(),
-                    "rank_metrics": cluster.payloads(),
-                    "cluster_snapshot": cluster.snapshot(),
-                    "span_log_dir": str(tele_dir),
-                }
-
-            supervisor_fields: dict = {}
-            if supervisor is not None:
-                sup = supervisor.snapshot()
-                supervisor_fields = {
-                    "respawns": int(sup["respawns"]),
-                    "evictions": int(sup["evictions"]),
-                    "leases_expired": int(sup["leases_expired"]),
-                    "fenced_writes": int(sup["fenced_writes"]),
-                    "recovery_latency_s": float(
-                        sup["recovery_latency_s_max"]
-                    ),
-                    "recovery": "supervised",
-                }
-
-            import hashlib
-
-            return BackendResult(
-                backend=self.name,
-                test_accuracy=test_acc,
-                epochs=int(epochs),
-                n_parts=int(n_parts),
-                cross_partition_arcs=plan.cross_arcs_total,
-                halo_floats_per_epoch=plan.halo_floats_per_epoch(feature_dim),
-                param_sync_floats_per_round=2 * n_params * n_parts,
-                halo_floats_shipped=totals["halo_floats_shipped"],
-                halo_floats_received=totals["halo_floats_received"],
-                sync_rounds=totals["sync_rounds"],
-                worker_failures=totals["worker_failures"],
-                straggler_events=totals["straggler_events"],
-                degraded_rounds=totals["degraded_rounds"],
-                checkpoint_saves=totals["checkpoint_saves"],
-                workers_lost=totals["workers_lost"],
-                param_checksum=hashlib.sha256(
-                    np.ascontiguousarray(averaged_flat).tobytes()
-                ).hexdigest(),
-                wall_time_s=time.monotonic() - start,
-                attach_stats=dict(
-                    attach_stats, published_bytes=arena.published_bytes
-                ),
-                **supervisor_fields,
-                **telemetry_fields,
-            )
+                handles = self._publish()
+            self._launch(handles)
+            for round_no in range(self.epochs):
+                if self.round_hook is not None:
+                    self.round_hook(round_no, self.processes)
+                self._average(round_no, self._gather(round_no))
+            self._collect_reports()
+            test_acc = self._evaluate()
+            self._count_run()
+            return self._result(test_acc)
         finally:
-            # Unconditional teardown: every exit path (completion, chaos
-            # kill, timeout, KeyboardInterrupt) unlinks the arena and
-            # reaps the children.
-            if run_open:
-                run_cm.__exit__(None, None, None)
-            if telemetry_enabled:
-                # Failure paths still fold the last published rank
-                # counters into the registered "cluster" source before
-                # the segments are unlinked below.
-                try:
-                    _harvest_metrics()
-                except Exception:  # pragma: no cover - defensive
-                    _LOG.exception("telemetry harvest failed during teardown")
-            if alive_view is not None:
-                alive_view[:] = 0
-                del alive_view  # release the buffer before unlink
-            for proc in processes:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in processes:
-                if proc.is_alive():
-                    proc.join(timeout=2.0)
-                if proc.is_alive():  # pragma: no cover - stuck child
-                    proc.kill()
-                    proc.join(timeout=1.0)
-            arena.unlink()
-            if made_resume_dir:
-                import shutil
+            self._teardown()
 
-                shutil.rmtree(resume_root, ignore_errors=True)
+    def _open_telemetry(self) -> None:
+        from repro.obs import telemetry as tele
+
+        self.tele = tele
+        if not obs.OBS.enabled:
+            obs.configure(enabled=True)
+        self.tele_dir = Path(
+            self.telemetry_dir or tempfile.mkdtemp(prefix="repro-telemetry-")
+        )
+        self.tele_dir.mkdir(parents=True, exist_ok=True)
+        self.cluster = tele.ClusterMetrics()
+        # Strong ref on the backend: register_source keeps only a
+        # weakref, and the cluster view must outlive run() so the
+        # coordinator's snapshot() still answers after a chaos kill.
+        self.backend.last_cluster = self.cluster
+        obs.register_source("cluster", self.cluster)
+
+    def _publish(self) -> list[dict]:
+        """Publish the data + control plane once; keep coordinator views.
+
+        Returns, per rank, every segment handle that rank attaches, keyed
+        by its :class:`WorkerSpec` field name.
+        """
+        arena, n, dim = self.arena, self.n_parts, self.graph.x.shape[1]
+        train_mask = np.zeros(self.graph.n_nodes, dtype=bool)
+        train_mask[self.split.train] = True
+        common = {
+            "x": arena.publish("x", np.ascontiguousarray(self.graph.x)),
+            "y": arena.publish("y", self.graph.y.astype(np.int64)),
+            "train_mask": arena.publish("train-mask", train_mask),
+            "alive": arena.publish("alive", np.ones(n, dtype=np.uint8)),
+            "params": arena.publish("params", self.averaged),
+            "params_round": arena.publish(
+                "params-round", np.full(1, -1, dtype=np.int64)
+            ),
+        }
+        handles = []
+        for p, shard in enumerate(self.plan.shards):
+            handles.append(dict(
+                common,
+                indptr=arena.publish(f"s{p}-indptr", shard.indptr),
+                indices=arena.publish(f"s{p}-indices", shard.indices),
+                weights=arena.publish(f"s{p}-weights", shard.weights),
+                owned=arena.publish(f"s{p}-owned", shard.owned),
+                ghosts=arena.publish(f"s{p}-ghosts", shard.ghosts),
+                send={
+                    q: arena.publish(f"s{p}-send-{q}", idx)
+                    for q, idx in shard.send.items()
+                },
+                recv={
+                    q: arena.publish(f"s{p}-recv-{q}", idx)
+                    for q, idx in shard.recv.items()
+                },
+                state=arena.publish(f"state-{p}", np.zeros_like(self.averaged)),
+                # [round, n_train, failed, generation]; the round cell
+                # starts unpublished.
+                state_meta=arena.publish(
+                    f"state-meta-{p}",
+                    np.array([-1] + [0] * (META_CELLS - 1), dtype=np.int64),
+                ),
+                done=arena.publish(
+                    f"done-{p}", np.zeros(1 + len(DONE_FIELDS), dtype=np.int64)
+                ),
+                # Pairwise halo buffers: payload (arcs × dim) + round
+                # cell, writer-owned on the source side.
+                halo_out={
+                    q: (
+                        arena.publish(f"halo-{p}-{q}", np.zeros((len(idx), dim))),
+                        arena.publish(
+                            f"halo-{p}-{q}-round", np.full(1, -1, dtype=np.int64)
+                        ),
+                    )
+                    for q, idx in shard.send.items()
+                },
+            ))
+        for p, shard in enumerate(self.plan.shards):
+            handles[p]["halo_in"] = {
+                q: handles[q]["halo_out"][p] for q in shard.recv
+            }
+        # Lease cells (supervised runs): written payload-first
+        # sequence-last by each worker's heartbeat thread.
+        if self.lease_policy is not None:
+            for p in range(n):
+                cell = np.zeros(LEASE_CELLS, dtype=np.int64)
+                cell[LEASE_ROUND] = -1
+                handles[p]["lease"] = arena.publish(f"lease-{p}", cell)
+            self.leases = [arena.view(f"lease-{p}") for p in range(n)]
+        # Metrics cells (telemetry): payload segment + (seq, length)
+        # meta, written payload-first seq-last by the worker.
+        if self.tele is not None:
+            for p in range(n):
+                handles[p]["metrics"] = arena.publish(
+                    f"metrics-{p}",
+                    np.zeros(self.tele.METRICS_SEGMENT_BYTES, dtype=np.uint8),
+                )
+                handles[p]["metrics_meta"] = arena.publish(
+                    f"metrics-meta-{p}", np.array([-1, 0], dtype=np.int64)
+                )
+                self.metrics_views.append((
+                    arena.view(f"metrics-{p}"), arena.view(f"metrics-meta-{p}")
+                ))
+        self.alive = arena.view("alive", writable=True)
+        self.params = arena.view("params", writable=True)
+        self.params_round = arena.view("params-round", writable=True)
+        self.metas = [
+            arena.view(f"state-meta-{p}", writable=True) for p in range(n)
+        ]
+        self.states = [arena.view(f"state-{p}") for p in range(n)]
+        self.dones = [arena.view(f"done-{p}") for p in range(n)]
+        return handles
+
+    def _launch(self, handles: list[dict]) -> None:
+        """Spawn one worker per shard, then the supervisor over them."""
+        import repro
+
+        package_root = str(Path(repro.__file__).resolve().parent.parent)
+        if self.tele is not None:
+            self.trace_ctx = self.tele.TraceContext.from_span(
+                self.run_span, backend=self.backend.name
+            )
+        for p, shard in enumerate(self.plan.shards):
+            spec = WorkerSpec(
+                rank=p,
+                n_parts=self.n_parts,
+                epochs=self.epochs,
+                hidden=self.hidden,
+                lr=self.lr,
+                weight_decay=self.weight_decay,
+                dropout=self.dropout,
+                seed=self.seed + 1 + p,
+                n_classes=self.graph.n_classes,
+                directed=shard.directed,
+                fault_plan=self.fault_plan,
+                fault_seed=self.fault_seed,
+                beat_interval_s=self.policy.beat_interval_s,
+                resume_dir=self.resume_root,
+                sync_timeout_s=self.timeout_s,
+                package_root=package_root,
+                trace_ctx=(
+                    self.trace_ctx.to_dict()
+                    if self.trace_ctx is not None else None
+                ),
+                span_log_path=(
+                    str(self.tele_dir / f"rank{p}.jsonl")
+                    if self.tele_dir is not None else None
+                ),
+                **handles[p],
+            )
+            self.specs.append(spec)
+            self.processes.append(self._spawn(spec, f"repro-dist-w{p}"))
+        self.supervisor = Supervisor(
+            self.policy,
+            self.n_parts,
+            processes=self.processes,
+            leases=self.leases,
+            relaunch=self._relaunch,
+            on_evict=self._mark_dead,
+        )
+
+    def _gather(self, round_no: int) -> dict[int, tuple]:
+        """Collect every live rank's round-``round_no`` contribution.
+
+        Fencing: only a rank's current incarnation may contribute — a
+        stale generation's publication is discarded, never averaged in.
+        """
+        sup = self.supervisor
+        contributions: dict[int, tuple[np.ndarray | None, int]] = {}
+        next_liveness = time.monotonic()
+        while self.expected - set(contributions):
+            self._check_deadline(
+                f"distributed run exceeded {self.timeout_s}s", round_no
+            )
+            progressed = False
+            for rank in self.expected - set(contributions):
+                meta = self.metas[rank]
+                if meta[META_ROUND] != round_no:
+                    continue
+                generation = int(meta[META_GENERATION])
+                if not sup.fence_accepts(rank, generation):
+                    sup.note_fenced_write(rank, round_no, generation)
+                    continue
+                sup.note_rejoin(rank, round_no)
+                if meta[META_FAILED]:
+                    self.totals["worker_failures"] += 1
+                    contributions[rank] = (None, 0)
+                else:
+                    # Copy now: the worker may overwrite its vector as
+                    # soon as the next round opens.
+                    contributions[rank] = (
+                        self.states[rank].copy(), int(meta[META_N_TRAIN])
+                    )
+                progressed = True
+            if progressed:
+                continue
+            if time.monotonic() >= next_liveness:
+                sup.poll(round_no)
+                next_liveness = time.monotonic() + _LIVENESS_EVERY_S
+            time.sleep(_GATHER_POLL_S)
+        if not self.expected:
+            raise DistributedError(f"all workers lost by round {round_no}")
+        return contributions
+
+    def _average(self, round_no: int, contributions: dict) -> None:
+        """Weighted average over surviving, non-failed contributions.
+
+        Weights are local train-node counts, renormalised over the
+        contributors. Fixed rank order: contributions land in arrival
+        order, and float accumulation is not commutative in rounding —
+        summing in arrival order would make the averaged params (and the
+        bit-identity fencing guarantee) racy.
+        """
+        live = [
+            (vec, n_train)
+            for rank, (vec, n_train) in sorted(contributions.items())
+            if rank in self.expected and vec is not None and n_train > 0
+        ]
+        if len(contributions) < self.n_parts or any(
+            vec is None for vec, _ in contributions.values()
+        ):
+            self.totals["degraded_rounds"] += 1
+        total_weight = sum(n_train for _, n_train in live)
+        if total_weight > 0:
+            self.averaged = sum(
+                (n_train / total_weight) * vec for vec, n_train in live
+            )
+        self.params[:] = self.averaged
+        self.params_round[0] = round_no  # publish last
+        self.totals["sync_rounds"] += 1
+
+    def _collect_reports(self) -> None:
+        """Fold every surviving rank's final counter block."""
+        reported: set[int] = set()
+        while self.expected - reported:
+            self._check_deadline(
+                "timed out waiting for worker reports "
+                f"({sorted(self.expected - reported)} missing)",
+                self.epochs,
+            )
+            for rank in self.expected - reported:
+                if self.dones[rank][0] != 1:
+                    continue
+                counters = dict(zip(DONE_FIELDS, self.dones[rank][1:]))
+                self.totals["straggler_events"] += counters["stragglers"]
+                for key in ("halo_floats_shipped", "halo_floats_received"):
+                    self.totals[key] += counters[key]
+                for key in self.attach_stats:
+                    self.attach_stats[key] += counters[key]
+                reported.add(rank)
+            # A rank that died before its report is evicted (or, with a
+            # lease plane, respawned: the successor resumes past every
+            # completed round and reports directly). Ranks whose done
+            # flag is up exited cleanly and are exempt.
+            done_up = {r for r in range(self.n_parts) if self.dones[r][0] == 1}
+            self.supervisor.poll(self.epochs, skip=reported | done_up)
+            time.sleep(_GATHER_POLL_S)
+        for proc in self.processes:
+            proc.join(timeout=5.0)
+
+    def _evaluate(self) -> float:
+        """Test accuracy of the final average on the full graph."""
+        from repro.training.metrics import accuracy
+
+        self.model.load_state_dict(
+            unflatten_state(self.averaged, self.template)
+        )
+        self.model.eval()
+        with obs.span("distributed.eval"), no_grad():
+            logits = self.model(GCN.prepare(self.graph), self.graph.x).data
+        test = self.split.test
+        return accuracy(logits[test].argmax(axis=1), self.graph.y[test])
+
+    def _count_run(self) -> None:
+        counters = self.backend._counters
+        counters["runs"] += 1
+        for key in (
+            "halo_floats_shipped", "halo_floats_received",
+            "sync_rounds", "workers_lost",
+        ):
+            counters[key] += self.totals[key]
+        counters["attaches"] += self.attach_stats["attaches"]
+        sup = self.supervisor.snapshot()
+        counters["respawns"] += int(sup["respawns"])
+        counters["evictions"] += int(sup["evictions"])
+        if obs.OBS.enabled:
+            reg = obs.OBS.registry
+            for key in ("halo_floats_shipped", "sync_rounds"):
+                reg.counter(f"distributed.{key}").inc(self.totals[key])
+            reg.counter("distributed.attaches").inc(
+                self.attach_stats["attaches"]
+            )
+
+    def _result(self, test_acc: float) -> BackendResult:
+        telemetry_fields: dict = {}
+        if self.tele is not None:
+            # Close the run span first so the assembled trace's root
+            # carries its end time.
+            self._close_run_span()
+            self._harvest_metrics()
+            trace_id = self.trace_ctx.trace_id
+            assembled = self.tele.assemble_trace(
+                self.run_span, sorted(self.tele_dir.glob("rank*.jsonl")),
+                trace_id=trace_id,
+            )
+            telemetry_fields = {
+                "trace_id": trace_id,
+                "trace": assembled.to_dict(),
+                "rank_metrics": self.cluster.payloads(),
+                "cluster_snapshot": self.cluster.snapshot(),
+                "span_log_dir": str(self.tele_dir),
+            }
+        sup = self.supervisor.snapshot()
+        return BackendResult(
+            backend=self.backend.name,
+            test_accuracy=test_acc,
+            epochs=self.epochs,
+            n_parts=self.n_parts,
+            cross_partition_arcs=self.plan.cross_arcs_total,
+            halo_floats_per_epoch=self.plan.halo_floats_per_epoch(
+                self.graph.x.shape[1]
+            ),
+            param_sync_floats_per_round=(
+                2 * self.model.n_parameters() * self.n_parts
+            ),
+            **self.totals,
+            **{
+                key: int(sup[key]) for key in
+                ("respawns", "evictions", "leases_expired", "fenced_writes")
+            },
+            recovery_latency_s=float(sup["recovery_latency_s_max"]),
+            param_checksum=hashlib.sha256(
+                np.ascontiguousarray(self.averaged).tobytes()
+            ).hexdigest(),
+            wall_time_s=time.monotonic() - self.start,
+            attach_stats=dict(
+                self.attach_stats, published_bytes=self.arena.published_bytes
+            ),
+            recovery=(
+                "supervised" if self.lease_policy is not None else "reweight"
+            ),
+            **telemetry_fields,
+        )
+
+    def _teardown(self) -> None:
+        """Unconditional: every exit path (completion, chaos kill,
+        timeout, KeyboardInterrupt) unlinks the arena and reaps the
+        children."""
+        self._close_run_span()
+        if self.tele is not None:
+            # Failure paths still fold the last published rank counters
+            # into the registered "cluster" source before the segments
+            # are unlinked below.
+            try:
+                self._harvest_metrics()
+            except Exception:  # pragma: no cover - defensive
+                _LOG.exception("telemetry harvest failed during teardown")
+        if self.alive is not None:
+            self.alive[:] = 0
+            self.alive = None  # release the buffer before unlink
+        for proc in self.processes:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in self.processes:
+            if proc.is_alive():
+                proc.join(timeout=2.0)
+            if proc.is_alive():  # pragma: no cover - stuck child
+                proc.kill()
+                proc.join(timeout=1.0)
+        self.arena.unlink()
+        if self.made_resume_dir:
+            shutil.rmtree(self.resume_root, ignore_errors=True)
+
+    # ---- supervisor callbacks and helpers -----------------------------
+
+    def _spawn(self, spec: WorkerSpec, name: str):
+        proc = mp.get_context("spawn").Process(
+            target=worker_main, args=(spec,), daemon=True, name=name
+        )
+        proc.start()
+        return proc
+
+    def _relaunch(self, rank: int, generation: int):
+        # The previous incarnation is confirmed dead by the supervisor
+        # before this runs, so wiping its round cell races nothing:
+        # whatever it last published is void, and the successor is the
+        # segment's only writer from here on.
+        self.metas[rank][META_ROUND] = -1
+        spec = dataclasses.replace(
+            self.specs[rank], generation=generation, resume=True
+        )
+        self.specs[rank] = spec
+        return self._spawn(spec, f"repro-dist-w{rank}g{generation}")
+
+    def _mark_dead(self, rank: int, why: str) -> None:
+        if rank not in self.expected:
+            return
+        self.expected.discard(rank)
+        self.alive[rank] = 0
+        self.totals["workers_lost"] += 1
+        if self.cluster is not None:
+            self.cluster.mark_dead(rank)
+        _LOG.warning("worker %d lost (%s)", rank, why)
+
+    def _harvest_metrics(self) -> None:
+        """Fold every rank's newest published registry dump into the
+        cluster view — including a chaos-killed rank's last complete
+        publication (the seq-last protocol guarantees it is whole)."""
+        for p, (buf, meta) in enumerate(self.metrics_views):
+            seq, blob = self.tele.read_blob(buf, meta)
+            if blob is None:
+                continue
+            payload = self.tele.decode_payload(blob)
+            if payload is not None:
+                self.cluster.ingest(
+                    p, payload, seq=seq, live=p in self.expected
+                )
+
+    def _check_deadline(self, what: str, round_no: int) -> None:
+        if time.monotonic() > self.deadline:
+            raise DistributedError(f"{what} {self._liveness_report(round_no)}")
+
+    def _liveness_report(self, round_no: int) -> str:
+        """Per-rank heartbeat/progress detail for timeout errors."""
+        lines = []
+        for diag in self.supervisor.diagnostics():
+            rank = diag["rank"]
+            status = "alive" if diag["alive"] else "dead"
+            if self.leases is None:
+                extra = ", no lease plane (supervise off)"
+            else:
+                age = diag["beat_age_s"]
+                beat = (
+                    f"last heartbeat {age:.2f}s ago"
+                    if age is not None else "no heartbeat observed"
+                )
+                extra = f", generation {diag['generation']}, {beat}"
+            lines.append(
+                f"rank {rank}: {status}, last published round "
+                f"{int(self.metas[rank][META_ROUND])}{extra}"
+            )
+        return f"at round {round_no}: " + "; ".join(lines)
+
+    def _close_run_span(self) -> None:
+        if self.run_cm is not None:
+            self.run_cm.__exit__(None, None, None)
+            self.run_cm = None
 
 
 _BACKENDS = {

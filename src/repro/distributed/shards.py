@@ -35,10 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.editing.partition import halo
-from repro.errors import ConfigError, GraphError
+from repro.editing.partition import check_assignment, halo
+from repro.errors import ConfigError
 from repro.graph.core import Graph
-from repro.utils.validation import check_int_range
 
 
 @dataclass(frozen=True)
@@ -152,12 +151,7 @@ def build_shard_plan(
     graph: Graph, assignment: np.ndarray, n_parts: int
 ) -> ShardPlan:
     """Shards for every part plus aligned pairwise halo exchange maps."""
-    check_int_range("n_parts", n_parts, 1)
-    assignment = np.asarray(assignment, dtype=np.int64)
-    if assignment.shape != (graph.n_nodes,):
-        raise GraphError("assignment must have one entry per node")
-    if len(assignment) and (assignment.min() < 0 or assignment.max() >= n_parts):
-        raise ConfigError("assignment contains part ids outside [0, n_parts)")
+    assignment = check_assignment(graph, assignment, n_parts)
     shards = [build_shard(graph, assignment, p) for p in range(n_parts)]
     g2l = [np.full(graph.n_nodes, -1, dtype=np.int64) for _ in range(n_parts)]
     for p, shard in enumerate(shards):

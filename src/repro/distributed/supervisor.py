@@ -1,12 +1,14 @@
 """Active membership management: heartbeat leases, respawn, fencing.
 
-The passive failure story of :mod:`repro.distributed` — a dead rank is
-zeroed in the ``alive`` array and survivors renormalise — keeps a run
-*correct* under loss but lets capacity decay monotonically. This module
-adds the recovery half: a shared-memory **lease plane** every worker
-heartbeats into, and a coordinator-side :class:`Supervisor` that turns a
-missed lease into an explicit membership action (respawn the rank, evict
-it, or keep waiting) under a declarative :class:`LeasePolicy`.
+Every :meth:`~repro.distributed.ProcessBackend.run` has one membership
+path: a coordinator-side :class:`Supervisor` that turns a dead process —
+or, with a lease plane, a missed lease — into a membership action
+(respawn, evict, or keep waiting) under a declarative
+:class:`LeasePolicy`. An unsupervised run is the ``evict`` policy with
+no lease plane: survivors renormalise, so the run stays *correct* but
+capacity decays. ``supervise=`` adds the recovery half: a shared-memory
+**lease plane** every worker heartbeats into, plus per-round resume
+checkpoints a respawned rank restores from.
 
 Lease-cell layout (one ``int64[LEASE_CELLS]`` segment per rank, written
 by the worker's heartbeat thread, read by the coordinator)::
@@ -89,7 +91,9 @@ class LeasePolicy:
     straggler_deadline_s:
         A rank whose lease still beats but whose ``last round`` cell has
         not advanced for this long is treated like an expired lease
-        (counted separately as a straggler).
+        (counted separately as a straggler). Round progress is read from
+        the lease cells, so without a lease plane there is no straggler
+        verdict.
     on_expiry:
         ``"respawn"`` — kill the incarnation (if still running) and
         relaunch the rank with a bumped generation; ``"evict"`` — kill
@@ -135,10 +139,10 @@ class Supervisor:
     """Coordinator-side membership manager over the lease plane.
 
     One instance lives for one :meth:`ProcessBackend.run`; the backend
-    calls :meth:`poll` from its gather loop wherever it used to poll raw
-    process liveness. The supervisor owns the per-rank generation
-    counters, the respawn budget, and the fencing predicate; the backend
-    supplies two callbacks:
+    calls :meth:`poll` whenever its gather or report loop stalls. With
+    ``leases=None`` it watches process liveness only. The supervisor
+    owns the per-rank generation counters, the respawn budget, and the
+    fencing predicate; the backend supplies two callbacks:
 
     ``relaunch(rank, generation)``
         Wipe the rank's stale control cells, start a fresh worker
@@ -276,7 +280,8 @@ class Supervisor:
                         rank, policy.lease_ttl_s,
                     )
             straggling = (
-                not dead
+                self._leases is not None
+                and not dead
                 and not expired
                 and self._progress_round[rank] < round_no - 1
                 and now - self._last_progress[rank]

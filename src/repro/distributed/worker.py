@@ -2,23 +2,25 @@
 
 This module is the ``spawn`` entry point of :mod:`repro.distributed` —
 everything here must be importable from a fresh interpreter (no closures,
-no lambdas in process args). One worker owns one shard and runs:
+no lambdas in process args). One worker owns one shard and runs one
+fixed sequence of phases (:func:`worker_main`):
 
 1. **attach** — map the published feature matrix, label/train-mask
    vectors, and this shard's CSR index arrays from shared memory
    (zero-copy; the only duplication is the explicit local row gather,
    which is accounted);
-2. per round: **halo exchange** (write owned boundary rows per outgoing
-   cross arc into the pairwise shared halo buffer, read peers' buffers
-   into local ghost slots), an optional **fault site** consultation
-   (``"training.worker_step"``, same site and semantics as the
-   simulation), one **local GCN step** over the halo-augmented local
-   graph with the loss restricted to owned training nodes, then
-   **parameter sync** — publish the flattened local state, wait for
-   the coordinator's weighted average, load it;
-3. **report** — a final shared-memory counter block carrying halo
-   floats actually shipped/received, attach accounting, fault counters,
-   and checkpoint saves.
+2. **heartbeat** (supervised runs) and **telemetry** (opt-in);
+3. **resume or init** — build the local GCN over the halo-augmented
+   shard, then restore the last resume checkpoint (a respawned
+   incarnation) or load the coordinator's initial parameters;
+4. per round: **halo exchange** (owned boundary rows per outgoing cross
+   arc into the pairwise shared halo buffer, peers' rows into local
+   ghost slots), the ``"training.worker_step"`` **fault site**, one
+   **local GCN step** with the loss restricted to owned training nodes,
+   **parameter sync** (publish the flattened local state, load the
+   coordinator's weighted average) and the **resume save**;
+5. **report** — a final shared-memory counter block: halo floats
+   actually shipped/received, attach accounting, fault counters.
 
 Why shared memory for *control* too, not queues: a worker killed
 mid-``Queue.put`` (the chaos scenario) leaves a partial pickle frame in
@@ -40,17 +42,43 @@ write until the coordinator has seen every round-``r`` read complete).
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import obs
 from repro.distributed.shm import AttachedSegments, SharedArrayHandle
+from repro.distributed.supervisor import (
+    LEASE_GENERATION,
+    LEASE_PID,
+    LEASE_ROUND,
+    LEASE_SEQ,
+)
+from repro.errors import DistributedError, FaultError, TransientError
+from repro.graph.core import Graph
+from repro.models.gcn import GCN
+from repro.resilience.checkpoint import Checkpointer
+from repro.resilience.faults import (
+    FAULTS,
+    FaultInjector,
+    clear_injector,
+    install_injector,
+)
+from repro.tensor import functional as F
+from repro.tensor.optim import Adam
 
 #: Spin-wait interval (seconds); liveness is checked between sleeps.
 _POLL_S = 0.002
+#: Seconds a worker waits on a peer's halo round cell before training
+#: on the stale ghost rows already resident.
+HALO_TIMEOUT_S = 10.0
+#: Rounds between two telemetry publications (span flush + metrics cell).
+TELEMETRY_EVERY = 1
 
 #: Counter slots in a worker's "done" block, after the leading done flag.
 DONE_FIELDS = (
@@ -61,7 +89,6 @@ DONE_FIELDS = (
     "failures",
     "stragglers",
     "sync_rounds",
-    "checkpoint_saves",
     "resume_saves",
     "restored_round",
     "attaches",
@@ -149,12 +176,9 @@ class WorkerSpec:
     state: SharedArrayHandle | None = None
     state_meta: SharedArrayHandle | None = None
     done: SharedArrayHandle | None = None
-    # chaos / checkpointing
+    # chaos
     fault_plan: object | None = None
     fault_seed: int = 0
-    checkpoint_dir: str | None = None
-    checkpoint_every: int = 0
-    checkpoint_keep: int = 2
     # self-healing membership (repro.distributed.supervisor) — defaults
     # keep the spec picklable and the unsupervised hot path untouched.
     generation: int = 0
@@ -162,16 +186,14 @@ class WorkerSpec:
     beat_interval_s: float = 0.05
     resume: bool = False
     resume_dir: str | None = None
-    # telemetry (repro.obs.telemetry) — all None/0 means "off", which
+    # telemetry (repro.obs.telemetry) — all None means "off", which
     # keeps the spec picklable and the worker hot path untouched.
     trace_ctx: dict | None = None
     span_log_path: str | None = None
     metrics: SharedArrayHandle | None = None
     metrics_meta: SharedArrayHandle | None = None
-    telemetry_every: int = 1
     # timeouts
     sync_timeout_s: float = 60.0
-    halo_timeout_s: float = 10.0
     # sys.path insurance for spawn (the parent's repro location)
     package_root: str | None = None
 
@@ -194,373 +216,384 @@ def _wait_cell(cell: np.ndarray, target: int, timeout_s: float,
     return True
 
 
-def worker_main(spec: WorkerSpec) -> None:
-    """Entry point of one training worker (``spawn``-safe, top level)."""
-    if spec.package_root and spec.package_root not in sys.path:
-        sys.path.insert(0, spec.package_root)
-    # Imports happen after the path fix so a spawn child launched from a
-    # PYTHONPATH-less environment still finds the package.
-    from repro import obs
-    from repro.errors import DistributedError, FaultError, TransientError
-    from repro.graph.core import Graph
-    from repro.models.gcn import GCN
-    from repro.resilience.checkpoint import Checkpointer
-    from repro.resilience.faults import (
-        FAULTS,
-        FaultInjector,
-        clear_injector,
-        install_injector,
-    )
-    from repro.tensor import functional as F
-    from repro.tensor.optim import Adam
+class _Worker:
+    """One incarnation of one rank, phase by phase (see :func:`worker_main`)."""
 
-    log = obs.get_logger(f"repro.distributed.worker{spec.rank}")
-    rank = spec.rank
-    segs = AttachedSegments()
+    # Phase outputs that stay unset when their phase is off or not reached.
+    beat_stop = span_writer = metrics_cells = registry = resume_ckpt = None
     injector_installed = False
-    beat_stop = None
-    try:
-        x_full = segs.attach(spec.x)
-        y_full = segs.attach(spec.y)
-        train_mask = segs.attach(spec.train_mask)
-        alive = segs.attach(spec.alive)
-        indptr = segs.attach(spec.indptr)
-        indices = segs.attach(spec.indices)
-        weights = segs.attach(spec.weights)
-        owned = segs.attach(spec.owned)
-        ghosts = segs.attach(spec.ghosts)
-        send_idx = {p: segs.attach(h) for p, h in spec.send.items()}
-        recv_idx = {p: segs.attach(h) for p, h in spec.recv.items()}
-        halo_out = {
-            p: (segs.attach(buf, writable=True), segs.attach(rnd, writable=True))
+
+    def __init__(self, spec: WorkerSpec) -> None:
+        self.spec = spec
+        self.rank = spec.rank
+        self.log = obs.get_logger(f"repro.distributed.worker{spec.rank}")
+        self.segs = AttachedSegments()
+        self.counters = dict.fromkeys(DONE_FIELDS, 0)
+        #: Highest synchronised round: the round loop's one-way channel to
+        #: the heartbeat thread (one attribute store, atomic under the GIL).
+        self.last_round = -1
+
+    # ---- attach -------------------------------------------------------
+
+    def attach(self) -> None:
+        """Map every published segment this rank reads or writes."""
+        spec, attach = self.spec, self.segs.attach
+        self.x_full = attach(spec.x)
+        self.y_full = attach(spec.y)
+        self.train_mask = attach(spec.train_mask)
+        self.alive = attach(spec.alive)
+        self.indptr = attach(spec.indptr)
+        self.indices = attach(spec.indices)
+        self.weights = attach(spec.weights)
+        self.owned = attach(spec.owned)
+        self.ghosts = attach(spec.ghosts)
+        self.send_idx = {p: attach(h) for p, h in spec.send.items()}
+        self.recv_idx = {p: attach(h) for p, h in spec.recv.items()}
+        self.halo_out = {
+            p: (attach(buf, writable=True), attach(rnd, writable=True))
             for p, (buf, rnd) in spec.halo_out.items()
         }
-        halo_in = {
-            p: (segs.attach(buf), segs.attach(rnd))
+        self.halo_in = {
+            p: (attach(buf), attach(rnd))
             for p, (buf, rnd) in spec.halo_in.items()
         }
-        params_vec = segs.attach(spec.params)
-        params_round = segs.attach(spec.params_round)
-        state_vec = segs.attach(spec.state, writable=True)
-        state_meta = segs.attach(spec.state_meta, writable=True)
-        done_block = segs.attach(spec.done, writable=True)
+        self.params_vec = attach(spec.params)
+        self.params_round = attach(spec.params_round)
+        self.state_vec = attach(spec.state, writable=True)
+        self.state_meta = attach(spec.state_meta, writable=True)
+        self.done_block = attach(spec.done, writable=True)
 
-        # ---- heartbeat lease (payload-first, sequence-last) ------------
-        # A daemon thread re-publishes this incarnation's lease on a
-        # fixed cadence: generation + last synchronised round first, the
-        # beat sequence last, so the coordinator never observes a torn
-        # beat. ``last_round_box`` is the main loop's one-way channel to
-        # the beating thread (a single int store — atomic under the GIL).
-        last_round_box = [-1]
-        if spec.lease is not None:
-            import os
-            import threading
+    # ---- heartbeat lease (payload-first, sequence-last) ---------------
 
-            from repro.distributed.supervisor import (
-                LEASE_GENERATION,
-                LEASE_PID,
-                LEASE_ROUND,
-                LEASE_SEQ,
-            )
+    def start_heartbeat(self) -> None:
+        """Beat the lease cell from a daemon thread (supervised runs).
 
-            lease_cell = segs.attach(spec.lease, writable=True)
-            beat_stop = threading.Event()
-            pid = os.getpid()
+        Each beat writes generation + last synchronised round first and
+        the beat sequence last, so the coordinator never observes a torn
+        beat.
+        """
+        if self.spec.lease is None:
+            return
+        self.lease_cell = self.segs.attach(self.spec.lease, writable=True)
+        self.beat_stop = threading.Event()
+        self.beat_thread = threading.Thread(
+            target=self._beat_loop, name=f"repro-beat-w{self.rank}",
+            daemon=True,
+        )
+        self.beat_thread.start()
 
-            def _beat_loop() -> None:
-                # Resume past the previous incarnation's sequence so the
-                # coordinator's change detection never misses the first
-                # beat of a respawn.
-                seq = int(lease_cell[LEASE_SEQ]) + 1
-                while True:
-                    lease_cell[LEASE_GENERATION] = spec.generation
-                    lease_cell[LEASE_ROUND] = last_round_box[0]
-                    lease_cell[LEASE_PID] = pid
-                    lease_cell[LEASE_SEQ] = seq  # publish last
-                    seq += 1
-                    if beat_stop.wait(spec.beat_interval_s):
-                        return
-
-            beat_thread = threading.Thread(
-                target=_beat_loop,
-                name=f"repro-beat-w{rank}",
-                daemon=True,
-            )
-            beat_thread.start()
-
-        # ---- telemetry plane (opt-in via the propagated context) -------
-        # The coordinator mints a TraceContext and ships it as a plain
-        # dict; its presence is the per-worker telemetry switch. Spans go
-        # to a per-rank JSONL ring (flushed at round boundaries, so a
-        # chaos kill loses at most the in-flight round) and the metrics
-        # registry is published through the kill-safe shm cell below.
-        span_writer = None
-        metrics_buf = metrics_meta = None
-        wreg = None
-        round_hist = None
-        prev_counts: dict[str, int] = {}
-        if spec.trace_ctx is not None:
-            from repro.obs.telemetry import SpanLogWriter, TraceContext
-            from repro.obs.telemetry import aggregate as _agg
-
-            obs.configure(enabled=True)
-            tctx = TraceContext.from_dict(spec.trace_ctx).child(rank=str(rank))
-            if spec.span_log_path:
-                span_writer = SpanLogWriter(
-                    spec.span_log_path, tctx, rank=rank
-                )
-            if spec.metrics is not None and spec.metrics_meta is not None:
-                metrics_buf = segs.attach(spec.metrics, writable=True)
-                metrics_meta = segs.attach(spec.metrics_meta, writable=True)
-            wreg = obs.get_registry()
-            round_hist = wreg.histogram("worker.round_s")
-            prev_counts = dict.fromkeys(DONE_FIELDS, 0)
-
-        def _publish_telemetry(counters: dict, seq: int) -> None:
-            """Flush spans + publish the registry dump (payload-first,
-            seq-cell-last). Cheap no-op when telemetry is off."""
-            if span_writer is not None:
-                span_writer.flush(obs.get_tracer())
-            if metrics_buf is None:
+    def _beat_loop(self) -> None:
+        cell, pid = self.lease_cell, os.getpid()
+        # Resume past the previous incarnation's sequence so the
+        # coordinator's change detection never misses the first beat of
+        # a respawn.
+        seq = int(cell[LEASE_SEQ]) + 1
+        while True:
+            cell[LEASE_GENERATION] = self.spec.generation
+            cell[LEASE_ROUND] = self.last_round
+            cell[LEASE_PID] = pid
+            cell[LEASE_SEQ] = seq  # publish last
+            seq += 1
+            if self.beat_stop.wait(self.spec.beat_interval_s):
                 return
-            for name in DONE_FIELDS:
-                delta = counters[name] - prev_counts[name]
-                if delta > 0:
-                    wreg.counter(f"worker.{name}").inc(float(delta))
-                prev_counts[name] = counters[name]
-            _agg.publish_blob(
-                metrics_buf, metrics_meta,
-                _agg.encode_registry(wreg, rank=rank), seq,
-            )
 
-        local_nodes = np.concatenate([owned, ghosts])
+    # ---- telemetry plane (opt-in via the propagated context) ----------
+
+    def start_telemetry(self) -> None:
+        """Open the span log and metrics cell when a trace context came.
+
+        The coordinator mints a TraceContext and ships it as a plain
+        dict; its presence is the per-worker telemetry switch. Spans go
+        to a per-rank JSONL ring (flushed at round boundaries, so a
+        chaos kill loses at most the in-flight round) and the metrics
+        registry is published through a kill-safe shm cell.
+        """
+        spec = self.spec
+        if spec.trace_ctx is None:
+            return
+        from repro.obs.telemetry import SpanLogWriter, TraceContext
+
+        obs.configure(enabled=True)
+        tctx = TraceContext.from_dict(spec.trace_ctx).child(rank=str(self.rank))
+        if spec.span_log_path:
+            self.span_writer = SpanLogWriter(
+                spec.span_log_path, tctx, rank=self.rank
+            )
+        if spec.metrics is not None and spec.metrics_meta is not None:
+            self.metrics_cells = (
+                self.segs.attach(spec.metrics, writable=True),
+                self.segs.attach(spec.metrics_meta, writable=True),
+            )
+        self.registry = obs.get_registry()
+        self.round_hist = self.registry.histogram("worker.round_s")
+        self.published = dict.fromkeys(DONE_FIELDS, 0)
+
+    def publish_telemetry(self, seq: int) -> None:
+        """Flush spans + publish the registry dump (payload-first,
+        seq-cell-last). A no-op when telemetry is off."""
+        if self.span_writer is not None:
+            self.span_writer.flush(obs.get_tracer())
+        if self.metrics_cells is None:
+            return
+        from repro.obs.telemetry import aggregate
+
+        for name in DONE_FIELDS:
+            delta = self.counters[name] - self.published[name]
+            if delta > 0:
+                self.registry.counter(f"worker.{name}").inc(float(delta))
+            self.published[name] = self.counters[name]
+        aggregate.publish_blob(
+            *self.metrics_cells,
+            aggregate.encode_registry(self.registry, rank=self.rank), seq,
+        )
+
+    # ---- resume or init -----------------------------------------------
+
+    def _build(self) -> None:
+        """The local world: halo-augmented shard, GCN, optimizer, faults."""
+        spec = self.spec
+        local_nodes = np.concatenate([self.owned, self.ghosts])
         # The one deliberate duplication: this worker's local feature
         # rows (owned + ghosts), writable so halo reads can land.
-        x_local = segs.count_copy(x_full[local_nodes].copy())
-        y_local = segs.count_copy(y_full[local_nodes].copy())
-        local_train = np.flatnonzero(train_mask[owned])
-
-        local_graph = Graph(
-            indptr, indices, weights,
+        self.x_local = self.segs.count_copy(self.x_full[local_nodes].copy())
+        self.y_local = self.segs.count_copy(self.y_full[local_nodes].copy())
+        self.local_train = np.flatnonzero(self.train_mask[self.owned])
+        self.prep = GCN.prepare(Graph(
+            self.indptr, self.indices, self.weights,
             directed=spec.directed, validate=False,
-        )
-        prep = GCN.prepare(local_graph)
-        model = GCN(
-            x_full.shape[1], spec.hidden, spec.n_classes,
+        ))
+        self.model = GCN(
+            self.x_full.shape[1], spec.hidden, spec.n_classes,
             n_layers=2, dropout=spec.dropout, seed=spec.seed,
         )
-        opt = Adam(
-            model.parameters(), lr=spec.lr, weight_decay=spec.weight_decay
+        self.opt = Adam(
+            self.model.parameters(), lr=spec.lr,
+            weight_decay=spec.weight_decay,
         )
-        template = model.state_dict()
+        self.template = self.model.state_dict()
         if spec.fault_plan is not None:
             install_injector(
-                FaultInjector(spec.fault_plan, seed=spec.fault_seed + rank)
+                FaultInjector(spec.fault_plan, seed=spec.fault_seed + self.rank)
             )
-            injector_installed = True
-        checkpointer = None
-        if spec.checkpoint_dir and spec.checkpoint_every > 0:
-            checkpointer = Checkpointer(
-                spec.checkpoint_dir,
-                keep=spec.checkpoint_keep,
-                namespace=f"rank{rank}",
-            )
+            self.injector_installed = True
         # Resume checkpoints back the supervisor's respawn path: one
-        # bit-exact snapshot per completed round (model + optimizer +
-        # dropout RNG + fault-schedule position), in a directory the
+        # bit-exact snapshot per completed round, in a directory the
         # coordinator owns, namespaced per rank.
-        resume_ckpt = None
         if spec.resume_dir:
-            resume_ckpt = Checkpointer(
-                spec.resume_dir,
-                keep=2,
-                prefix="resume",
-                namespace=f"rank{rank}",
+            self.resume_ckpt = Checkpointer(
+                spec.resume_dir, keep=2, prefix="resume",
+                namespace=f"rank{self.rank}",
             )
 
-        counters = dict.fromkeys(DONE_FIELDS, 0)
+    def _resume_snapshot(self) -> dict:
+        """Everything a successor incarnation needs for a bit-exact
+        rejoin: parameters, optimizer moments, the dropout RNG position,
+        and the fault schedule position."""
+        snap = {
+            "model": self.model.state_dict(),
+            "optimizer": self.opt.state_dict(),
+        }
+        if self.model.dropout is not None:
+            snap["rng_state"] = self.model.dropout._rng.bit_generator.state
+        inj = FAULTS.injector if FAULTS.active else None
+        if inj is not None:
+            snap["fault_calls"] = inj.call_counts()
+        return snap
 
-        def _resume_snapshot() -> dict:
-            """Everything a successor incarnation needs for a bit-exact
-            rejoin: parameters, optimizer moments, the dropout RNG
-            position, and the fault schedule position."""
-            snap = {
-                "model": model.state_dict(),
-                "optimizer": opt.state_dict(),
-            }
-            if model.dropout is not None:
-                snap["rng_state"] = model.dropout._rng.bit_generator.state
-            inj_now = FAULTS.injector if FAULTS.active else None
-            if inj_now is not None:
-                snap["fault_calls"] = inj_now.call_counts()
-            return snap
+    def _save_resume(self, step: int) -> None:
+        self.resume_ckpt.save(step, self._resume_snapshot())
+        self.counters["resume_saves"] += 1
 
-        # Resume checkpoint step ``s`` holds the state *after completing
-        # round s-1* (step 0 = the shared starting point, saved below
-        # before the round loop opens); a respawned incarnation loading
-        # step ``s`` re-enters the loop at round ``s``.
-        start_round = 0
-        if spec.resume and resume_ckpt is not None and resume_ckpt.steps():
+    def resume_or_init(self) -> int:
+        """Build the local world and return the first round to run.
+
+        Resume checkpoint step ``s`` holds the state *after completing
+        round s-1* (step 0 = the shared starting point); a respawned
+        incarnation loading step ``s`` re-enters the loop at round ``s``.
+        """
+        self._build()
+        ckpt = self.resume_ckpt
+        if self.spec.resume and ckpt is not None and ckpt.steps():
             # Fenced rejoin: restore the pre-crash incarnation's exact
             # state as of its last completed round and redo the next
             # round. The restored dropout RNG and the replayed fault
             # schedule make every redone computation bit-identical to
-            # what the dead incarnation produced (or would have), which
-            # is what keeps the supervised run's result identical to the
-            # unfaulted one.
-            step, snap = resume_ckpt.load()
-            model.load_state_dict(
+            # what the dead incarnation produced (or would have).
+            step, snap = ckpt.load()
+            self.model.load_state_dict(
                 {k: np.asarray(v) for k, v in snap["model"].items()}
             )
-            opt.load_state_dict(snap.get("optimizer", {}))
-            if model.dropout is not None and "rng_state" in snap:
-                model.dropout._rng.bit_generator.state = snap["rng_state"]
+            self.opt.load_state_dict(snap.get("optimizer", {}))
+            if self.model.dropout is not None and "rng_state" in snap:
+                self.model.dropout._rng.bit_generator.state = snap["rng_state"]
             fault_calls = snap.get("fault_calls")
-            if injector_installed and fault_calls:
+            if self.injector_installed and fault_calls:
                 FAULTS.injector.fast_forward(
                     {site: int(n) for site, n in fault_calls.items()}
                 )
-            start_round = int(step)
-            counters["restored_round"] = start_round
-            last_round_box[0] = start_round - 1
-            log.info(
+            start = int(step)
+            self.counters["restored_round"] = start
+            self.last_round = start - 1
+            self.log.info(
                 "rank %d generation %d resumed at round %d",
-                rank, spec.generation, start_round,
+                self.rank, self.spec.generation, start,
             )
-        else:
-            # All ranks start from the coordinator's round -1 publication
-            # so parameter averaging begins from one shared point.
-            if not _wait_cell(params_round, -1, spec.sync_timeout_s):
-                raise DistributedError(
-                    "timed out waiting for initial parameters"
-                )
-            model.load_state_dict(unflatten_state(params_vec, template))
-            if resume_ckpt is not None:
-                # The step-0 snapshot pins the *initial* parameters: a
-                # rank killed during round 0 must redo it from these,
-                # not from whatever average the params segment holds by
-                # the time the successor attaches.
-                resume_ckpt.save(0, _resume_snapshot())
-                counters["resume_saves"] += 1
+            return start
+        # All ranks start from the coordinator's round -1 publication so
+        # parameter averaging begins from one shared point.
+        if not _wait_cell(self.params_round, -1, self.spec.sync_timeout_s):
+            raise DistributedError("timed out waiting for initial parameters")
+        self.model.load_state_dict(
+            unflatten_state(self.params_vec, self.template)
+        )
+        if ckpt is not None:
+            # The step-0 snapshot pins the *initial* parameters: a rank
+            # killed during round 0 must redo it from these, not from
+            # whatever average the params segment holds by then.
+            self._save_resume(0)
+        return 0
 
-        for round_no in range(start_round, spec.epochs):
-            round_start = time.monotonic()
-            # The round span is a per-round ROOT (no enclosing run span),
-            # so a chaos kill mid-round leaves every previously flushed
-            # round intact in the span log.
-            with obs.span("worker.round", round=round_no, rank=str(rank)):
-                # ---- halo exchange (per-arc, matches accounting) -------
-                with obs.span("worker.halo_exchange", round=round_no):
-                    for peer in sorted(halo_out):
-                        buf, rnd = halo_out[peer]
-                        buf[:] = x_local[send_idx[peer]]
-                        rnd[0] = round_no  # publish AFTER payload complete
-                        counters["halo_floats_shipped"] += int(buf.size)
-                    for peer in sorted(halo_in):
-                        buf, rnd = halo_in[peer]
-                        fresh = _wait_cell(
-                            rnd, round_no, spec.halo_timeout_s,
-                            peer_alive=lambda p=peer: bool(alive[p]),
-                        )
-                        if not fresh:
-                            # Dead or silent peer: train on the stale
-                            # ghost rows already resident (degraded,
-                            # never blocked).
-                            counters["halo_misses"] += 1
-                            continue
-                        x_local[recv_idx[peer]] = buf
-                        counters["halo_floats_received"] += int(buf.size)
+    # ---- one round ----------------------------------------------------
 
-                # ---- local step through the shared fault site ----------
-                failed = False
-                action = None
-                inj = FAULTS.injector if FAULTS.active else None
-                if inj is not None:
-                    try:
-                        action = inj.fire("training.worker_step")
-                    except (TransientError, FaultError):
-                        counters["failures"] += 1
-                        failed = True
-                if action == "delay":
-                    counters["stragglers"] += 1
-                if not failed and len(local_train):
-                    with obs.span("worker.step", round=round_no):
-                        model.train()
-                        opt.zero_grad()
-                        with obs.span("worker.spmm"):
-                            logits = model(prep, x_local)
-                        loss = F.cross_entropy(
-                            logits.gather_rows(local_train),
-                            y_local[local_train],
-                        )
-                        loss.backward()
-                        opt.step()
-                    counters["steps"] += 1
-                    if action in ("drop", "corrupt"):
-                        # The step ran but its update never reached (or
-                        # was rejected by) the coordinator.
-                        counters["failures"] += 1
-                        failed = True
+    def run_round(self, round_no: int) -> None:
+        """Halo exchange → fault site → step → sync → resume save."""
+        round_start = time.monotonic()
+        # The round span is a per-round ROOT (no enclosing run span), so
+        # a chaos kill mid-round leaves every previously flushed round
+        # intact in the span log.
+        with obs.span("worker.round", round=round_no, rank=str(self.rank)):
+            with obs.span("worker.halo_exchange", round=round_no):
+                self._exchange_halos(round_no)
+            failed, action = self._fault_site()
+            if not failed:
+                failed = self._step(round_no, action)
+            self._sync(round_no, failed)
+            if self.resume_ckpt is not None:
+                self._save_resume(round_no + 1)
+        if self.registry is not None:
+            self.round_hist.observe(time.monotonic() - round_start)
+            if (round_no + 1) % TELEMETRY_EVERY == 0:
+                self.publish_telemetry(seq=round_no + 1)
 
-                # ---- parameter sync -----------------------------------
-                if not failed:
-                    flatten_state(model.state_dict(), out=state_vec)
-                state_meta[META_N_TRAIN] = len(local_train)
-                state_meta[META_FAILED] = int(failed)
-                state_meta[META_GENERATION] = spec.generation
-                state_meta[META_ROUND] = round_no  # publish last
-                if not _wait_cell(
-                    params_round, round_no, spec.sync_timeout_s
-                ):
-                    raise DistributedError(
-                        f"timed out waiting for round {round_no} parameters"
-                    )
-                model.load_state_dict(unflatten_state(params_vec, template))
-                counters["sync_rounds"] += 1
-                last_round_box[0] = round_no
-                if (
-                    checkpointer is not None
-                    and (round_no + 1) % spec.checkpoint_every == 0
-                ):
-                    checkpointer.save(
-                        round_no,
-                        {
-                            "model": model.state_dict(),
-                            "optimizer": opt.state_dict(),
-                        },
-                    )
-                    counters["checkpoint_saves"] += 1
-                if resume_ckpt is not None:
-                    resume_ckpt.save(round_no + 1, _resume_snapshot())
-                    counters["resume_saves"] += 1
+    def _exchange_halos(self, round_no: int) -> None:
+        """Ship owned rows per outgoing cross arc, land peers' rows."""
+        for peer in sorted(self.halo_out):
+            buf, rnd = self.halo_out[peer]
+            buf[:] = self.x_local[self.send_idx[peer]]
+            rnd[0] = round_no  # publish AFTER payload complete
+            self.counters["halo_floats_shipped"] += int(buf.size)
+        for peer in sorted(self.halo_in):
+            buf, rnd = self.halo_in[peer]
+            fresh = _wait_cell(
+                rnd, round_no, HALO_TIMEOUT_S,
+                peer_alive=lambda p=peer: bool(self.alive[p]),
+            )
+            if not fresh:
+                # Dead or silent peer: train on the stale ghost rows
+                # already resident (degraded, never blocked).
+                self.counters["halo_misses"] += 1
+                continue
+            self.x_local[self.recv_idx[peer]] = buf
+            self.counters["halo_floats_received"] += int(buf.size)
 
-            if wreg is not None:
-                round_hist.observe(time.monotonic() - round_start)
-                if (round_no + 1) % max(spec.telemetry_every, 1) == 0:
-                    _publish_telemetry(counters, seq=round_no + 1)
+    def _fault_site(self) -> tuple[bool, str | None]:
+        """Consult ``training.worker_step``: ``(failed, action)``."""
+        inj = FAULTS.injector if FAULTS.active else None
+        if inj is None:
+            return False, None
+        try:
+            action = inj.fire("training.worker_step")
+        except (TransientError, FaultError):
+            self.counters["failures"] += 1
+            return True, None
+        if action == "delay":
+            self.counters["stragglers"] += 1
+        return False, action
 
-        counters.update(segs.stats())
-        if spec.trace_ctx is not None:
-            # Final flush AND publish before the done flag: the attach
-            # accounting only lands in the counters here.
-            _publish_telemetry(counters, seq=spec.epochs + 1)
-        done_block[1:] = [counters[name] for name in DONE_FIELDS]
-        done_block[0] = 1  # publish last
+    def _step(self, round_no: int, action: str | None) -> bool:
+        """One local GCN step; ``True`` when its update is lost."""
+        if not len(self.local_train):
+            return False
+        with obs.span("worker.step", round=round_no):
+            self.model.train()
+            self.opt.zero_grad()
+            with obs.span("worker.spmm"):
+                logits = self.model(self.prep, self.x_local)
+            loss = F.cross_entropy(
+                logits.gather_rows(self.local_train),
+                self.y_local[self.local_train],
+            )
+            loss.backward()
+            self.opt.step()
+        self.counters["steps"] += 1
+        if action in ("drop", "corrupt"):
+            # The step ran but its update never reached (or was rejected
+            # by) the coordinator.
+            self.counters["failures"] += 1
+            return True
+        return False
+
+    def _sync(self, round_no: int, failed: bool) -> None:
+        """Publish the local state, then load the coordinator's average."""
+        if not failed:
+            flatten_state(self.model.state_dict(), out=self.state_vec)
+        meta = self.state_meta
+        meta[META_N_TRAIN] = len(self.local_train)
+        meta[META_FAILED] = int(failed)
+        meta[META_GENERATION] = self.spec.generation
+        meta[META_ROUND] = round_no  # publish last
+        if not _wait_cell(self.params_round, round_no, self.spec.sync_timeout_s):
+            raise DistributedError(
+                f"timed out waiting for round {round_no} parameters"
+            )
+        self.model.load_state_dict(
+            unflatten_state(self.params_vec, self.template)
+        )
+        self.counters["sync_rounds"] += 1
+        self.last_round = round_no
+
+    # ---- report -------------------------------------------------------
+
+    def report(self) -> None:
+        """Publish the final counter block, done flag last."""
+        self.counters.update(self.segs.stats())
+        # Final flush AND publish before the done flag: the attach
+        # accounting only lands in the counters here.
+        self.publish_telemetry(seq=self.spec.epochs + 1)
+        self.done_block[1:] = [self.counters[name] for name in DONE_FIELDS]
+        self.done_block[0] = 1  # publish last
+
+    def close(self) -> None:
+        if self.beat_stop is not None:
+            # Stop and JOIN the heartbeat before the segments unmap — a
+            # beat landing in a closed mapping would fault the exit path.
+            self.beat_stop.set()
+            self.beat_thread.join(timeout=5.0)
+        if self.injector_installed:
+            clear_injector()
+        self.segs.close()
+
+
+def worker_main(spec: WorkerSpec) -> None:
+    """Entry point of one training worker (``spawn``-safe, top level)."""
+    if spec.package_root and spec.package_root not in sys.path:
+        sys.path.insert(0, spec.package_root)
+    worker = _Worker(spec)
+    try:
+        worker.attach()
+        worker.start_heartbeat()
+        worker.start_telemetry()
+        for round_no in range(worker.resume_or_init(), spec.epochs):
+            worker.run_round(round_no)
+        worker.report()
     except Exception:  # noqa: BLE001 - the coordinator sees the exit code
         # The traceback goes to the inherited stderr; the coordinator
         # detects the nonzero exit through its liveness polling.
         traceback.print_exc()
-        log.error("worker %d failed", rank)
+        worker.log.error("worker %d failed", spec.rank)
         sys.exit(1)
     finally:
-        if beat_stop is not None:
-            # Stop and JOIN the heartbeat before the segments unmap — a
-            # beat landing in a closed mapping would fault the exit path.
-            beat_stop.set()
-            beat_thread.join(timeout=5.0)
-        if injector_installed:
-            clear_injector()
-        segs.close()
+        worker.close()
 
 
 def probe_injector_schedule(result_q, injector, site: str, n_calls: int) -> None:
@@ -571,8 +604,6 @@ def probe_injector_schedule(result_q, injector, site: str, n_calls: int) -> None
     the exact schedule the parent process computes (the injector crosses
     the process boundary through its ``__getstate__``).
     """
-    from repro.errors import FaultError, TransientError
-
     actions: list[str] = []
     for _ in range(n_calls):
         try:

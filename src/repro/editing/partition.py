@@ -130,6 +130,22 @@ def _finalize(graph: Graph, assignment: np.ndarray, k: int) -> PartitionResult:
     )
 
 
+def check_assignment(graph: Graph, assignment, n_parts: int) -> np.ndarray:
+    """Validate a node -> part map over ``n_parts`` parts; returns it as int64.
+
+    :class:`GraphError` unless there is exactly one entry per node;
+    :class:`ConfigError` for a part id outside ``[0, n_parts)`` — such a
+    node would belong to no worker of a partition-parallel run.
+    """
+    check_int_range("n_parts", n_parts, 1)
+    assignment = np.asarray(assignment, dtype=np.int64)
+    if assignment.shape != (graph.n_nodes,):
+        raise GraphError("assignment must have one entry per node")
+    if len(assignment) and (assignment.min() < 0 or assignment.max() >= n_parts):
+        raise ConfigError("assignment contains part ids outside [0, n_parts)")
+    return assignment
+
+
 def edge_cut(graph: Graph, assignment: np.ndarray) -> int:
     """Number of undirected edges with endpoints in different parts."""
     assignment = np.asarray(assignment)

@@ -19,7 +19,7 @@ from repro.training.datapipe import (
     ToDevice,
     iterate_batches,
 )
-from repro.training.distributed import DistributedResult, simulate_distributed_training
+from repro.training.distributed import simulate_distributed_training
 from repro.training.metrics import accuracy, confusion_matrix, latency_summary, macro_f1
 from repro.training.pipeline import (
     PipelinePlan,
@@ -52,7 +52,6 @@ __all__ = [
     "train_sampled",
     "train_subgraph",
     "train_pprgo",
-    "DistributedResult",
     "simulate_distributed_training",
     "train_clustergcn_compensated",
     "PipelinePlan",

@@ -16,15 +16,25 @@ preserves exactly that quantity:
 
 Better partitioners ⇒ fewer cross-partition arcs ⇒ less communication —
 the claim benchmark E12 measures.
+
+:class:`repro.distributed.ProcessBackend` runs partition-parallel
+training for real, but on *halo-augmented* shards (ghost rows shipped
+each round) rather than induced subgraphs, so it trains a different
+model. What the two share is the communication accounting above and
+the averaging rule (weights = local train-node counts, renormalised
+over contributors); the result type is the same
+:class:`~repro.distributed.BackendResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
 
 import numpy as np
 
 from repro.datasets.synthetic import Split
+from repro.distributed.backend import BackendResult
+from repro.editing.partition import check_assignment
 from repro.errors import ConfigError, FaultError, TransientError
 from repro.graph.core import Graph
 from repro.models.gcn import GCN
@@ -35,46 +45,6 @@ from repro.tensor.optim import Adam
 from repro.training.metrics import accuracy
 from repro.utils.rng import as_rng, split_rng
 from repro.utils.validation import check_int_range
-
-
-@dataclass(frozen=True)
-class DistributedResult:
-    """Outcome of a simulated distributed run.
-
-    Attributes
-    ----------
-    test_accuracy:
-        Accuracy of the final averaged model, evaluated on the full graph.
-    halo_floats_per_epoch:
-        Floats an exact system would exchange per epoch for cross-partition
-        neighbour features.
-    param_sync_floats_per_round:
-        Floats moved per parameter-averaging round (all workers).
-    cross_partition_arcs:
-        Directed arcs crossing partitions (the raw cut measure).
-    worker_failures:
-        Worker round-steps lost to injected crashes / dropped results.
-    straggler_events:
-        Worker round-steps that were delayed by an injected straggle.
-    degraded_rounds:
-        Rounds where at least one contributing worker failed (averaging
-        proceeded over the survivors, or was skipped entirely).
-    checkpoint_restores:
-        Times the whole cluster was rolled back to the last checkpoint
-        (``recovery="restart"`` only).
-    recovery:
-        The recovery policy the run used (``"reweight"`` / ``"restart"``).
-    """
-
-    test_accuracy: float
-    halo_floats_per_epoch: int
-    param_sync_floats_per_round: int
-    cross_partition_arcs: int
-    worker_failures: int = 0
-    straggler_events: int = 0
-    degraded_rounds: int = 0
-    checkpoint_restores: int = 0
-    recovery: str = "reweight"
 
 
 def _cluster_state(averaged: dict, workers: list[dict]) -> dict:
@@ -123,7 +93,7 @@ def simulate_distributed_training(
     checkpointer=None,
     checkpoint_every: int = 0,
     recovery: str = "reweight",
-) -> DistributedResult:
+) -> BackendResult:
     """Run synchronous partition-parallel GCN training (simulated).
 
     Fault tolerance: each worker's round-step passes through the
@@ -153,7 +123,8 @@ def simulate_distributed_training(
         )
     if recovery == "restart" and checkpointer is None:
         raise ConfigError("recovery='restart' needs a checkpointer")
-    assignment = np.asarray(assignment, dtype=np.int64)
+    assignment = check_assignment(graph, assignment, n_parts)
+    start = time.monotonic()
     rng = as_rng(seed)
     worker_rngs = split_rng(rng, n_parts)
 
@@ -281,8 +252,11 @@ def simulate_distributed_training(
     with no_grad():
         logits = final(GCN.prepare(graph), graph.x).data
     test_acc = accuracy(logits[split.test].argmax(axis=1), graph.y[split.test])
-    return DistributedResult(
+    return BackendResult(
+        backend="simulated",
         test_accuracy=test_acc,
+        epochs=int(epochs),
+        n_parts=int(n_parts),
         halo_floats_per_epoch=cross_arcs * feature_dim,
         param_sync_floats_per_round=2 * n_params * n_parts,
         cross_partition_arcs=cross_arcs,
@@ -290,5 +264,6 @@ def simulate_distributed_training(
         straggler_events=straggler_events,
         degraded_rounds=degraded_rounds,
         checkpoint_restores=checkpoint_restores,
+        wall_time_s=time.monotonic() - start,
         recovery=recovery,
     )

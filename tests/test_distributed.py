@@ -21,8 +21,9 @@ from repro.distributed import (
 )
 from repro.distributed.worker import probe_injector_schedule
 from repro.editing import edge_cut, ldg_partition
-from repro.errors import ConfigError, DistributedError
+from repro.errors import ConfigError, DistributedError, GraphError
 from repro.resilience import FaultInjector, FaultPlan
+from repro.training import simulate_distributed_training
 
 CTX = mp.get_context("spawn")
 
@@ -276,19 +277,6 @@ class TestProcessBackend:
         assert res.degraded_rounds > 0
         assert res.sync_rounds == 5  # reweighted rounds still synchronise
 
-    def test_worker_checkpoints_use_namespaces(self, dataset, tmp_path):
-        graph, split = dataset
-        pr = ldg_partition(graph, 2, seed=0)
-        res = get_backend("process").run(
-            graph, split, pr.assignment, 2,
-            epochs=4, seed=0, timeout_s=RUN_TIMEOUT_S,
-            checkpoint_dir=str(tmp_path), checkpoint_every=2,
-        )
-        assert res.checkpoint_saves == 4  # 2 workers x 2 saves
-        for rank in (0, 1):
-            files = list((tmp_path / f"rank{rank}").glob("ckpt-*.npz"))
-            assert len(files) == 2  # keep=2, pruned per namespace only
-
     def test_requires_features(self, dataset):
         from repro.graph import stochastic_block_model
 
@@ -305,6 +293,47 @@ class TestProcessBackend:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
             get_backend("mpi")
+
+
+def _malformed_assignment(kind: str, n_nodes: int) -> np.ndarray:
+    assignment = np.arange(n_nodes) % 3
+    if kind == "part id >= n_parts":
+        assignment[0] = 3
+    elif kind == "negative part id":
+        assignment[0] = -1
+    else:
+        assignment = assignment[:-3]
+    return assignment
+
+
+class TestAssignmentValidation:
+    """Both entry points reject what the shard plan rejects — nodes
+    with no owning worker, or an assignment of the wrong length — and
+    the process backend does so before spawning anything."""
+
+    @pytest.mark.parametrize("entry", ["simulated", "process"])
+    @pytest.mark.parametrize(
+        "kind, error",
+        [
+            ("part id >= n_parts", ConfigError),
+            ("negative part id", ConfigError),
+            ("3 entries short", GraphError),
+        ],
+    )
+    def test_malformed_assignment_rejected(self, dataset, entry, kind, error):
+        graph, split = dataset
+        assignment = _malformed_assignment(kind, graph.n_nodes)
+        with pytest.raises(error):
+            if entry == "simulated":
+                simulate_distributed_training(
+                    graph, split, assignment, 3, epochs=1
+                )
+            else:
+                get_backend("process").run(
+                    graph, split, assignment, 3,
+                    epochs=1, timeout_s=RUN_TIMEOUT_S,
+                )
+        assert glob.glob("/dev/shm/repro-dist-*") == []
 
 
 class TestChaosKill:
@@ -324,6 +353,9 @@ class TestChaosKill:
         )
         assert killed == [1]
         assert res.workers_lost == 1
+        # The unsupervised run evicts through the same Supervisor path
+        # as supervise=LeasePolicy(on_expiry="evict").
+        assert res.evictions == 1 and res.respawns == 0
         # Every remaining round still synchronised over the survivors,
         # and the run is degraded from the kill round on.
         assert res.sync_rounds == 6

@@ -42,6 +42,17 @@ def partitioned(dataset):
     return ldg_partition(graph, 3, seed=0)
 
 
+@pytest.fixture(scope="module")
+def baseline(dataset, partitioned):
+    """One unfaulted, unsupervised epochs=6 run both bitwise tests
+    compare against."""
+    graph, split = dataset
+    return get_backend("process").run(
+        graph, split, partitioned.assignment, 3,
+        epochs=6, seed=0, timeout_s=RUN_TIMEOUT_S,
+    )
+
+
 def _leftover_segments() -> list[str]:
     return glob.glob("/dev/shm/repro-dist-*")
 
@@ -235,6 +246,25 @@ class TestSupervisor:
         assert sup.snapshot()["stragglers"] == 1
         assert spawned == [(1, 1)]
 
+    def test_no_lease_plane_means_no_straggler_verdict(self):
+        """Regression: round progress is read only from lease cells, so
+        without a lease plane it never advanced and every live rank was
+        evicted as a straggler once straggler_deadline_s elapsed — the
+        configuration every unsupervised run uses."""
+        policy = LeasePolicy(on_expiry="evict")
+        sup, clock, procs, _, spawned, evicted = _harness(
+            policy, n=3, with_leases=False
+        )
+        for round_no in range(6):
+            clock.now += 7.0
+            sup.poll(round_no=round_no)
+        assert spawned == [] and evicted == []
+        snap = sup.snapshot()
+        assert snap["stragglers"] == 0 and snap["evictions"] == 0
+        procs[2]._alive = False  # a dead process is still evicted
+        sup.poll(round_no=6)
+        assert evicted == [2]
+
     def test_skip_protects_cleanly_exited_ranks(self):
         policy = LeasePolicy()
         sup, _, procs, _, spawned, evicted = _harness(policy)
@@ -296,35 +326,27 @@ class TestFaultScheduleFastForward:
 
 class TestSupervisedBackend:
     def test_unfaulted_supervised_matches_baseline_bitwise(
-        self, dataset, partitioned
+        self, dataset, partitioned, baseline
     ):
         graph, split = dataset
-        base = get_backend("process").run(
-            graph, split, partitioned.assignment, 3,
-            epochs=4, seed=0, timeout_s=RUN_TIMEOUT_S,
-        )
         sup = get_backend("process").run(
             graph, split, partitioned.assignment, 3,
-            epochs=4, seed=0, timeout_s=RUN_TIMEOUT_S, supervise=True,
+            epochs=6, seed=0, timeout_s=RUN_TIMEOUT_S, supervise=True,
         )
-        assert base.param_checksum
-        assert sup.param_checksum == base.param_checksum
+        assert baseline.param_checksum
+        assert sup.param_checksum == baseline.param_checksum
         assert sup.respawns == 0 and sup.evictions == 0
         assert sup.recovery == "supervised"
         assert not _leftover_segments()
 
     def test_kill_one_mid_round_respawns_bit_identical(
-        self, dataset, partitioned
+        self, dataset, partitioned, baseline
     ):
-        """The tentpole acceptance test: kill a worker mid-run under
-        supervision — the rank is respawned, rejoins fenced, and the
-        final averaged parameters are bit-identical to the unfaulted
-        run's (full participation, zero lost workers)."""
+        """Kill a worker mid-run under supervision — the rank is
+        respawned, rejoins fenced, and the final averaged parameters are
+        bit-identical to the unfaulted run's (full participation, zero
+        lost workers)."""
         graph, split = dataset
-        base = get_backend("process").run(
-            graph, split, partitioned.assignment, 3,
-            epochs=6, seed=0, timeout_s=RUN_TIMEOUT_S,
-        )
         killed = []
 
         def hook(round_no, processes):
@@ -342,8 +364,8 @@ class TestSupervisedBackend:
         assert chaos.workers_lost == 0  # full participation restored
         assert chaos.sync_rounds == 6
         assert chaos.recovery_latency_s > 0.0
-        assert chaos.param_checksum == base.param_checksum
-        assert chaos.test_accuracy == pytest.approx(base.test_accuracy)
+        assert chaos.param_checksum == baseline.param_checksum
+        assert chaos.test_accuracy == pytest.approx(baseline.test_accuracy)
         assert not _leftover_segments()
 
     def test_evict_policy_renormalises_over_survivors(

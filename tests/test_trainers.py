@@ -163,6 +163,8 @@ class TestDistributed:
             graph, split, pr.assignment, 4, epochs=30, seed=0
         )
         assert res.test_accuracy > 0.6
+        assert (res.backend, res.epochs, res.n_parts) == ("simulated", 30, 4)
+        assert res.wall_time_s > 0.0
         assert res.halo_floats_per_epoch == res.cross_partition_arcs * graph.n_features
         assert res.param_sync_floats_per_round > 0
 
