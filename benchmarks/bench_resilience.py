@@ -14,7 +14,7 @@ Claims measured here:
    method), while the positive control — the same burst under a
    never-firing injector — calls it once per read. The wall overhead
    against the pre-resilience loop, reconstructed here frame-for-frame
-   (the E30/E31 idiom: the baseline is what ``FeatureStore.get`` executed
+   (the E30 idiom: the baseline is what ``FeatureStore.get`` executed
    before the injection site existed), is reported as a min/min ratio of
    interleaved timings but not gated: a ~0.4 µs read is too short for a
    single-host wall ratio to hold a 5% bound.
@@ -150,35 +150,20 @@ def _fault_throughput(n_requests: int, delay_s: float) -> dict:
 
 
 def _baseline_get(store: FeatureStore):
-    """The pre-resilience ``FeatureStore.get``, frame-for-frame.
+    """``FeatureStore.get`` without the ``storage.get`` injection site.
 
-    The method body as it stood before the ``storage.get`` injection
-    site existed: same call frame, same ``feature_key`` resolution, same
-    dict probe / TTL check / LRU bump / counters — minus only the
-    ``FAULTS.active`` branch. Timing the current ``get`` against this
-    isolates exactly what the fault machinery costs when disabled.
+    The same call frame, ``feature_key`` resolution and ``_get`` lookup
+    — minus only the ``FAULTS.active`` branch. Timing the current
+    ``get`` against this isolates exactly what the fault machinery costs
+    when disabled.
     """
 
     def old_get(namespace, node):
         key = (feature_key(namespace), int(node))
-        if store._lock is not None:
-            with store._lock:
-                return store._get(key)
-        entry = store._store.get(key)
-        if entry is None:
-            store._misses += 1
-            return None
-        inserted_at, value = entry
-        if store.ttl_s is not None and (
-            store._clock() - inserted_at > store.ttl_s
-        ):
-            del store._store[key]
-            store._expirations += 1
-            store._misses += 1
-            return None
-        store._store.move_to_end(key)
-        store._hits += 1
-        return value
+        if store._lock is None:
+            return store._get(key)
+        with store._lock:
+            return store._get(key)
 
     return old_get
 

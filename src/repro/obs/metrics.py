@@ -199,8 +199,7 @@ class Histogram(_Instrument):
             hist = self._series.get(key)
             if hist is None:
                 hist = LatencyHistogram(
-                    self.min_value, self.max_value, self.buckets_per_decade,
-                    threadsafe=True,
+                    self.min_value, self.max_value, self.buckets_per_decade
                 )
                 self._series[key] = hist
             return hist

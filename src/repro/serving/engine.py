@@ -24,6 +24,7 @@ from the store.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -42,7 +43,6 @@ from repro.serving.invalidation import UpdateReport, dirty_frontiers, patch_stac
 from repro.serving.registry import ModelRegistry, ServedModel
 from repro.serving.store import EmbeddingStore
 from repro.tensor.autograd import Tensor, no_grad
-from repro.utils.concurrency import make_lock
 from repro.utils.timer import LatencyHistogram
 from repro.utils.validation import check_probability
 
@@ -94,12 +94,12 @@ class ServingEngine:
     clock:
         Shared monotonic clock for queue wait + latency accounting.
     threadsafe:
-        Construct the default queue/store/latency components thread-safe
-        and guard the engine's own counters, so multiple threads (a
-        :class:`~repro.serving.runtime.ServingRuntime` batcher + worker
-        pool) can drive one engine. Defaults to ``False``: the
-        single-threaded path stays lock-free. Injected components are
-        the caller's responsibility either way.
+        Construct the default queue and store thread-safe, so multiple
+        threads (a :class:`~repro.serving.runtime.ServingRuntime` batcher
+        + worker pool) can drive one engine. Defaults to ``False``: the
+        inline path's queue and store stay lock-free. Injected components
+        are the caller's responsibility either way; the engine's own
+        counters and latency histogram always lock.
     """
 
     _DEFAULT_STORE = object()  # sentinel: "build a fresh EmbeddingStore"
@@ -127,8 +127,8 @@ class ServingEngine:
         self.threshold = threshold
         self.early_exit = early_exit
         self._clock = clock
-        self.latency = LatencyHistogram(threadsafe=threadsafe)
-        self._lock = make_lock(threadsafe)
+        self.latency = LatencyHistogram()
+        self._lock = threading.Lock()
         # Set by ServingRuntime.attach: once a runtime's batcher thread
         # owns the queue, the inline predict path must not also drain it.
         self._runtime = None
@@ -210,39 +210,26 @@ class ServingEngine:
             return results
 
     def _count(self, served: int = 0, shed: int = 0, cache_hits: int = 0) -> None:
-        if self._lock is None:
+        with self._lock:
             self.served += served
             self.shed += shed
             self.cache_hits += cache_hits
-        else:
-            with self._lock:
-                self.served += served
-                self.shed += shed
-                self.cache_hits += cache_hits
 
     def try_store(
         self, record: ServedModel, node_id: int, t0: float
     ) -> ServeResult | None:
         """Answer ``node_id`` from the embedding store, or ``None`` on miss.
 
-        The store fast path shared by the inline :meth:`predict_many` loop
-        and :class:`~repro.serving.runtime.ServingRuntime` submission (a
-        hit never enters the batching queue in either mode).
+        The one store-hit path, shared by the inline :meth:`predict_many`
+        loop and :class:`~repro.serving.runtime.ServingRuntime` submission
+        (a hit never enters the batching queue in either mode).
         """
         if self.store is None:
             return None
         cached = self.store.get(record.namespace, node_id)
         if cached is None:
             return None
-        # Counters inlined (vs _count): this path runs once per store
-        # hit and the helper frame is measurable (E31's 5% bound).
-        if self._lock is None:
-            self.served += 1
-            self.cache_hits += 1
-        else:
-            with self._lock:
-                self.served += 1
-                self.cache_hits += 1
+        self._count(served=1, cache_hits=1)
         latency = self._clock() - t0
         self.latency.record(latency)
         if OBS.enabled:
@@ -292,7 +279,6 @@ class ServingEngine:
             )
         record = self._resolve(model)
         n = record.graph.n_nodes
-        store = self.store
         slots: list[ServeResult | int] = []
         by_id: dict[int, ServeResult] = {}
         for node_id in node_ids:
@@ -300,29 +286,9 @@ class ServingEngine:
             if not 0 <= node_id < n:
                 raise ServingError(f"node {node_id} outside [0, {n})")
             t0 = self._clock()
-            # Store fast path, kept in lockstep with try_store but
-            # inlined: the helper frame alone is measurable against
-            # E31's 5% single-threaded overhead bound.
-            cached = (
-                store.get(record.namespace, node_id)
-                if store is not None else None
-            )
-            if cached is not None:
-                if self._lock is None:
-                    self.served += 1
-                    self.cache_hits += 1
-                else:
-                    with self._lock:
-                        self.served += 1
-                        self.cache_hits += 1
-                latency = self._clock() - t0
-                self.latency.record(latency)
-                if OBS.enabled:
-                    self._obs_store_hit(node_id, cached)
-                slots.append(ServeResult(
-                    node_id, record.key, cached.prediction, "ok", True,
-                    cached.hops_used, latency,
-                ))
+            hit = self.try_store(record, node_id, t0)
+            if hit is not None:
+                slots.append(hit)
                 continue
             try:
                 request = self.queue.submit(node_id, record.key)
@@ -403,17 +369,23 @@ class ServingEngine:
                 # stack patches.
                 with record.lock.reader:
                     hop_rows = record.hop_rows(unique, out=gather_buf)
+                    stamp = record.updates_applied
             predictions, hops_used = self._infer(record, hop_rows, unique)
         finally:
             arena.release(gather_buf)
         if self.store is not None:
-            self.store.put_many(
-                record.namespace,
-                (
-                    (int(node), int(predictions[i]), int(hops_used[i]))
-                    for i, node in enumerate(unique)
-                ),
-            )
+            # An update that landed while this batch ran inference may
+            # already have invalidated these rows; writing them now would
+            # resurrect stale answers, so cache only if no update did.
+            with record.lock.reader:
+                if record.updates_applied == stamp:
+                    self.store.put_many(
+                        record.namespace,
+                        (
+                            (int(node), int(predictions[i]), int(hops_used[i]))
+                            for i, node in enumerate(unique)
+                        ),
+                    )
         now = self._clock()
         recording = OBS.enabled
         latencies: list[float] = []
@@ -544,11 +516,8 @@ class ServingEngine:
         """Engine-level counters (:class:`repro.obs.StatsSource`); the
         queue/store/latency components publish their own snapshots under
         their own registry prefixes."""
-        if self._lock is None:
+        with self._lock:
             served, shed, hits = self.served, self.shed, self.cache_hits
-        else:
-            with self._lock:
-                served, shed, hits = self.served, self.shed, self.cache_hits
         return {
             "served": served,
             "shed": shed,
@@ -558,48 +527,9 @@ class ServingEngine:
 
     def reset(self) -> None:
         """Zero the engine counters and its latency histogram."""
-        if self._lock is None:
+        with self._lock:
             self.served = self.shed = self.cache_hits = 0
-        else:
-            with self._lock:
-                self.served = self.shed = self.cache_hits = 0
         self.latency.reset()
-
-    def stats(self) -> dict:
-        """Engine-wide accounting: latency percentiles, queue, store, models."""
-        store_stats = None
-        if self.store is not None:
-            s = self.store.stats
-            store_stats = {
-                "hits": s.hits,
-                "misses": s.misses,
-                "hit_rate": s.hit_rate,
-                "size": len(self.store),
-                "invalidations": self.store.invalidations,
-                "expirations": self.store.expirations,
-            }
-        return {
-            "served": self.served,
-            "shed": self.shed,
-            "cache_hits": self.cache_hits,
-            "latency": self.latency.summary(),
-            "queue": {
-                "submitted": self.queue.submitted,
-                "shed": self.queue.shed,
-                "batches": self.queue.batches_formed,
-                "mean_batch_size": self.queue.mean_batch_size,
-            },
-            "store": store_stats,
-            "models": {
-                record.key: {
-                    "n_nodes": record.graph.n_nodes,
-                    "k_hops": record.k_hops,
-                    "updates_applied": record.updates_applied,
-                    "rows_recomputed": record.rows_recomputed,
-                }
-                for record in self.registry.records()
-            },
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -495,13 +495,6 @@ class ShardRouter:
         self.readmissions = 0
         self.request_errors = 0
 
-    def stats(self) -> dict:
-        """Router counters plus every shard runtime's report."""
-        return {
-            "router": self.snapshot(),
-            "shards": [rt.stats() for rt in self._runtimes],
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardRouter(shards={self.n_parts}, requests={self.requests}, "

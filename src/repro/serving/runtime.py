@@ -700,12 +700,6 @@ class ServingRuntime:
             self.degraded = 0
             self.failed_fast = 0
 
-    def stats(self) -> dict:
-        """Runtime + engine accounting in one report."""
-        report = self.engine.stats()
-        report["runtime"] = self.snapshot()
-        return report
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ServingRuntime(workers={self.n_workers}, "

@@ -1,12 +1,11 @@
 """Embedding/prediction store for the online path.
 
-A thin serving-semantics layer over :class:`repro.storage.FeatureStore`:
-entries are cached predictions keyed by a model's content namespace
-(name, version *and* graph fingerprint — see
-:class:`repro.serving.registry.ServedModel`) plus node id, bounded by LRU
-capacity and an optional TTL, and invalidated *push-style*: when a graph
-update dirties a K-hop neighbourhood, exactly those node ids are evicted
-while every other cached prediction stays warm.
+A :class:`repro.storage.FeatureStore` whose rows are cached predictions,
+keyed by a model's content namespace (name, version *and* graph
+fingerprint — see :class:`repro.serving.registry.ServedModel`) plus node
+id, bounded by LRU capacity and an optional TTL, and invalidated
+*push-style*: when a graph update dirties a K-hop neighbourhood, exactly
+those node ids are evicted while every other cached prediction stays warm.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.storage.feature_cache import CacheStats, FeatureStore
-from repro.utils.validation import check_int_range
+from repro.storage.feature_cache import FeatureStore
 
 
 @dataclass(frozen=True)
@@ -27,8 +25,15 @@ class CachedPrediction:
     hops_used: int
 
 
-class EmbeddingStore:
-    """TTL + LRU + dirty-set invalidated cache of per-node predictions."""
+class EmbeddingStore(FeatureStore):
+    """TTL + LRU + dirty-set invalidated cache of per-node predictions.
+
+    Reads, invalidation, counters and the stale read are
+    :class:`FeatureStore`'s; only the write shape differs — rows go in as
+    ``(prediction, hops_used)`` and come back as :class:`CachedPrediction`.
+    Lock-free by default (the inline engine); the concurrent runtime builds
+    it ``threadsafe=True``.
+    """
 
     def __init__(
         self,
@@ -37,103 +42,24 @@ class EmbeddingStore:
         clock: Callable[[], float] = time.monotonic,
         threadsafe: bool = False,
     ) -> None:
-        check_int_range("capacity", capacity, 1)
-        self._rows = FeatureStore(
-            capacity, ttl_s=ttl_s, clock=clock, threadsafe=threadsafe
-        )
-        # Instance-bound delegation: `get` is probed once per serving
-        # request, and the pure-passthrough frame is measurable on the
-        # store-hit fast path (E31's 5% bound).
-        self.get = self._rows.get
-
-    # ------------------------------------------------------------------ #
-
-    def get(self, namespace: str, node: int) -> CachedPrediction | None:
-        """The cached prediction, or ``None`` on miss/expiry.
-
-        Shadowed per-instance by the bound ``FeatureStore.get`` in
-        ``__init__``; this def documents the contract.
-        """
-        return self._rows.get(namespace, node)
-
-    def get_stale(self, namespace: str, node: int) -> CachedPrediction | None:
-        """The resident prediction even when TTL-expired, else ``None``.
-
-        The degraded-read used when a model's circuit breaker is open:
-        an old answer beats no answer. Counted separately
-        (:attr:`stale_hits`) so hit-rate accounting stays honest.
-        """
-        return self._rows.get_stale(namespace, node)
+        super().__init__(capacity, ttl_s=ttl_s, clock=clock, threadsafe=threadsafe)
 
     def put(
         self, namespace: str, node: int, prediction: int, hops_used: int
     ) -> CachedPrediction:
         entry = CachedPrediction(int(prediction), int(hops_used))
-        self._rows.put(namespace, node, entry)
+        super().put(namespace, node, entry)
         return entry
 
     def put_many(
         self, namespace: str, entries: Iterable[tuple[int, int, int]]
     ) -> None:
-        """Batch-insert ``(node, prediction, hops_used)`` rows under one
+        """Batch-insert ``(node, prediction, hops_used)`` triples under one
         lock acquisition — the per-micro-batch write shape."""
-        self._rows.put_many(
+        super().put_many(
             namespace,
             (
                 (node, CachedPrediction(int(prediction), int(hops)))
                 for node, prediction, hops in entries
             ),
-        )
-
-    def invalidate(
-        self, namespace: str, nodes: Iterable[int] | None = None
-    ) -> int:
-        """Evict ``nodes`` (or the whole namespace); returns entries dropped."""
-        return self._rows.invalidate(namespace, nodes)
-
-    def clear(self) -> None:
-        self._rows.clear()
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat counter/rate dict (:class:`repro.obs.StatsSource`)."""
-        return self._rows.snapshot()
-
-    def reset(self) -> None:
-        """Zero the counters; cached predictions stay resident."""
-        self._rows.reset()
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def capacity(self) -> int:
-        return self._rows.capacity
-
-    @property
-    def ttl_s(self) -> float | None:
-        return self._rows.ttl_s
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._rows.stats
-
-    @property
-    def expirations(self) -> int:
-        return self._rows.expirations
-
-    @property
-    def invalidations(self) -> int:
-        return self._rows.invalidations
-
-    @property
-    def stale_hits(self) -> int:
-        return self._rows.stale_hits
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        s = self.stats
-        return (
-            f"EmbeddingStore(size={len(self)}/{self.capacity}, "
-            f"ttl={self.ttl_s}, hit_rate={s.hit_rate:.2f})"
         )

@@ -18,7 +18,7 @@ graphs. This module reproduces that storage argument:
   keyed by graph **content fingerprint** (:mod:`repro.perf.fingerprint`)
   rather than object identity, so a graph rebuilt with identical topology
   shares warm rows while any structural change can never be served stale
-  data. The substrate of :class:`repro.serving.EmbeddingStore`.
+  data. The base of :class:`repro.serving.EmbeddingStore`.
 """
 
 from __future__ import annotations
@@ -199,10 +199,10 @@ class FeatureStore:
 
     The ``clock`` is injectable (monotonic seconds) so TTL behaviour is
     deterministic under test. ``threadsafe=True`` (the default) guards
-    every mutation with a lock so concurrent serving workers can share
-    one store; pass ``False`` to strip the locking from single-threaded
-    pipelines (hot paths then branch on a ``None`` lock — no
-    context-manager cost).
+    every operation with a lock so concurrent serving workers can share
+    one store; ``False`` drops it for single-threaded callers, the one
+    place the library keeps a lock-free twin (see
+    :mod:`repro.utils.concurrency`).
     """
 
     def __init__(
@@ -300,25 +300,10 @@ class FeatureStore:
             if inj is not None:
                 return self._get_faulty(inj, namespace, node)
         key = (feature_key(namespace), int(node))
-        if self._lock is not None:
-            with self._lock:
-                return self._get(key)
-        # Lock-free fast path: _get inlined (keep in sync) — the serving
-        # hot loop probes this per request and an extra call frame is
-        # measurable there (E31's 5% bound).
-        entry = self._store.get(key)
-        if entry is None:
-            self._misses += 1
-            return None
-        inserted_at, value = entry
-        if self.ttl_s is not None and self._clock() - inserted_at > self.ttl_s:
-            del self._store[key]
-            self._expirations += 1
-            self._misses += 1
-            return None
-        self._store.move_to_end(key)
-        self._hits += 1
-        return value
+        if self._lock is None:
+            return self._get(key)
+        with self._lock:
+            return self._get(key)
 
     def _get_faulty(self, inj, namespace: Graph | str, node: int) -> Any | None:
         """:meth:`get` with the fault schedule applied (chaos regime only).
@@ -406,7 +391,8 @@ class FeatureStore:
             self._misses += 1
             return None
         inserted_at, value = entry
-        if self._expired(inserted_at, self._clock()):
+        # TTL test spelled out so a TTL-less store never reads the clock.
+        if self.ttl_s is not None and self._clock() - inserted_at > self.ttl_s:
             del self._store[key]
             self._expirations += 1
             self._misses += 1

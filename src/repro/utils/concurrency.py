@@ -1,25 +1,23 @@
 """Thread-safety primitives shared by the concurrent serving stack.
 
-The library's caches, queues, and counters were written single-threaded;
-:class:`repro.serving.runtime.ServingRuntime` runs them from a batcher
-thread plus a worker pool. Shared registration-time components
-(``perf.OperatorCache``, ``perf.PropagationEngine``, ``perf.BufferArena``,
-``resilience.CircuitBreaker``) always hold a plain lock and take no
-switch: they work per registration, hop or outcome, not per request.
-Request-path components (``BatchingQueue``, ``FeatureStore`` /
-``EmbeddingStore``, ``LatencyHistogram``, ``ServingEngine``) take
-``threadsafe=`` — benchmark E31 and the macro benchmark measure their
-lock-free path — and follow this pattern:
+:class:`repro.serving.runtime.ServingRuntime` runs the serving stack
+from a batcher thread plus a worker pool. The rule is one sentence:
+**everything always locks, except the store and the queue.**
 
-* :func:`make_lock` returns a :class:`threading.RLock` when a component
-  is constructed ``threadsafe=True`` and ``None`` otherwise. Hot paths
-  branch on ``if self._lock is None`` — a pointer test (~8ns) — so the
-  single-threaded fast path never pays the ~190ns context-manager cost
-  of an uncontended lock acquisition (benchmark E31 bounds the locked
-  overhead itself under 5% on the serving path).
-* Cold paths (snapshots, resets, invalidation) write
-  ``with self._lock or NULL_LOCK:`` — :data:`NULL_LOCK` is a shared
-  no-op context manager, so the code reads identically either way.
+* Every shared component — ``perf.OperatorCache``,
+  ``perf.PropagationEngine``, ``perf.BufferArena``,
+  ``resilience.CircuitBreaker``, ``LatencyHistogram`` and the
+  ``ServingEngine``'s own counters — holds a plain lock on every
+  operation and takes no switch.
+* ``FeatureStore`` / ``EmbeddingStore`` and ``BatchingQueue`` keep
+  ``threadsafe=`` (``ServingEngine`` forwards it to the ones it builds):
+  the inline engine runs them lock-free while the runtime needs them
+  locked, and the macro benchmark measures that gap
+  (``storage.get_hit_us`` against ``storage.get_hit_locked_us``).
+  :func:`make_lock` returns a :class:`threading.RLock` or ``None``; the
+  per-request calls branch on ``if self._lock is None``, and cold paths
+  write ``with self._lock or NULL_LOCK:`` (:data:`NULL_LOCK` is a shared
+  no-op context manager).
 * :class:`RWLock` is a writer-preferring readers–writer lock for state
   with many concurrent readers and rare exclusive writers — the served
   hop stacks, which micro-batch workers gather from while streaming

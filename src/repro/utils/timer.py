@@ -8,10 +8,9 @@ mergeable log-bucketed distribution of durations for percentile reporting
 from __future__ import annotations
 
 import math
+import threading
 import time
 from typing import Iterable
-
-from repro.utils.concurrency import NULL_LOCK, make_lock
 
 
 class Timer:
@@ -73,9 +72,8 @@ class LatencyHistogram:
     clear :class:`ValueError` instead of surfacing a math domain error
     from the bucket computation.
 
-    Pass ``threadsafe=True`` when multiple threads record into the same
-    histogram (the concurrent serving runtime does); the default stays
-    lock-free so single-threaded callers pay nothing.
+    Every read and write holds a plain lock, so any number of threads
+    may record into one histogram.
     """
 
     def __init__(
@@ -83,7 +81,6 @@ class LatencyHistogram:
         min_latency: float = 1e-6,
         max_latency: float = 60.0,
         buckets_per_decade: int = 20,
-        threadsafe: bool = False,
     ) -> None:
         if not 0.0 < min_latency < max_latency:
             raise ValueError(
@@ -98,8 +95,9 @@ class LatencyHistogram:
         decades = math.log10(self.max_latency / self.min_latency)
         self._n_buckets = max(1, math.ceil(decades * self.buckets_per_decade))
         self._growth = (self.max_latency / self.min_latency) ** (1.0 / self._n_buckets)
+        self._log_growth = math.log(self._growth)
         self._counts = [0] * self._n_buckets
-        self._lock = make_lock(threadsafe)
+        self._lock = threading.Lock()
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -114,7 +112,7 @@ class LatencyHistogram:
             return 0
         if seconds >= self.max_latency:
             return self._n_buckets - 1
-        idx = int(math.log(seconds / self.min_latency) / math.log(self._growth))
+        idx = int(math.log(seconds / self.min_latency) / self._log_growth)
         return min(max(idx, 0), self._n_buckets - 1)
 
     def _bucket_upper(self, idx: int) -> float:
@@ -126,19 +124,8 @@ class LatencyHistogram:
         if not math.isfinite(seconds) or seconds < 0:
             raise ValueError(f"latency must be finite and >= 0, got {seconds}")
         idx = self._bucket(seconds)
-        if self._lock is None:
-            # Inlined _record: this is the serving hot path, where an
-            # extra call frame is measurable (E31's 5% bound).
-            self._counts[idx] += 1
-            self.count += 1
-            self.total += seconds
-            if seconds < self.min:
-                self.min = seconds
-            if seconds > self.max:
-                self.max = seconds
-        else:
-            with self._lock:
-                self._record(idx, seconds)
+        with self._lock:
+            self._record(idx, seconds)
 
     def _record(self, idx: int, seconds: float) -> None:
         self._counts[idx] += 1
@@ -163,7 +150,7 @@ class LatencyHistogram:
                     f"latency must be finite and >= 0, got {seconds}"
                 )
             pairs.append((self._bucket(seconds), seconds))
-        with self._lock or NULL_LOCK:
+        with self._lock:
             for idx, seconds in pairs:
                 self._record(idx, seconds)
 
@@ -171,7 +158,7 @@ class LatencyHistogram:
         """The ``q``-th percentile (``q`` in [0, 100]); 0.0 when empty."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        with self._lock or NULL_LOCK:
+        with self._lock:
             if self.count == 0:
                 return 0.0
             rank = math.ceil(q / 100.0 * self.count)
@@ -213,11 +200,11 @@ class LatencyHistogram:
             or other.buckets_per_decade != self.buckets_per_decade
         ):
             raise ValueError("cannot merge histograms with different bucket layouts")
-        with other._lock or NULL_LOCK:
+        with other._lock:
             counts = list(other._counts)
             count, total = other.count, other.total
             low, high = other.min, other.max
-        with self._lock or NULL_LOCK:
+        with self._lock:
             for idx, n in enumerate(counts):
                 self._counts[idx] += n
             self.count += count
@@ -236,7 +223,7 @@ class LatencyHistogram:
         would produce. This is the wire format of the cross-process
         telemetry plane (:mod:`repro.obs.telemetry`).
         """
-        with self._lock or NULL_LOCK:
+        with self._lock:
             return {
                 "layout": [
                     self.min_latency, self.max_latency, self.buckets_per_decade,
@@ -271,7 +258,7 @@ class LatencyHistogram:
                 f"state carries {len(counts)} buckets, expected {self._n_buckets}"
             )
         count = int(state["count"])
-        with self._lock or NULL_LOCK:
+        with self._lock:
             for idx, n in enumerate(counts):
                 self._counts[idx] += n
             self.count += count
@@ -282,13 +269,10 @@ class LatencyHistogram:
         return self
 
     @classmethod
-    def from_state(cls, state: dict, threadsafe: bool = False) -> "LatencyHistogram":
+    def from_state(cls, state: dict) -> "LatencyHistogram":
         """Reconstruct a histogram from a :meth:`state` payload."""
         min_latency, max_latency, buckets_per_decade = state["layout"]
-        hist = cls(
-            float(min_latency), float(max_latency), int(buckets_per_decade),
-            threadsafe=threadsafe,
-        )
+        hist = cls(float(min_latency), float(max_latency), int(buckets_per_decade))
         hist.merge_state(state)
         return hist
 
@@ -311,7 +295,7 @@ class LatencyHistogram:
         return self.summary()
 
     def reset(self) -> None:
-        with self._lock or NULL_LOCK:
+        with self._lock:
             self._counts = [0] * self._n_buckets
             self.count = 0
             self.total = 0.0

@@ -30,7 +30,13 @@ from repro.models import SGC
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.perf import OperatorCache
-from repro.serving import BatchingQueue, ServingEngine, ServingRuntime
+from repro.serving import (
+    BatchingQueue,
+    EmbeddingStore,
+    PredictRequest,
+    ServingEngine,
+    ServingRuntime,
+)
 from repro.storage import FeatureStore
 from repro.tensor.autograd import Tensor
 from repro.utils import LatencyHistogram, RWLock
@@ -304,6 +310,76 @@ class TestRuntimeSemantics:
         rt.close()
 
 
+class TestOneRequestPath:
+    def test_inline_and_runtime_count_a_stream_alike(self):
+        # Both front doors answer a hit through ServingEngine.try_store
+        # and a miss through one micro-batch, so the same hit/miss stream
+        # leaves the same counters behind.
+        graph = _serving_graph(n_nodes=60, seed=5)
+        model = SGC(graph.n_features, graph.n_classes, k_hops=2, seed=1)
+        cold = np.arange(20)
+        mixed = np.arange(30)  # nodes 0..19 now hit, 20..29 miss
+        inline = ServingEngine(early_exit=False)
+        inline.register("sgc", model, graph)
+        inline.predict_many(cold)
+        inline.predict_many(mixed)
+        with ServingRuntime(n_workers=1, early_exit=False) as rt:
+            rt.register("sgc", model, graph)
+            rt.predict_many(cold, timeout_s=60.0)
+            rt.predict_many(mixed, timeout_s=60.0)
+        for engine in (inline, rt.engine):
+            snap = engine.snapshot()
+            assert (snap["served"], snap["cache_hits"]) == (50, 20)
+            assert engine.latency.count == 50
+
+    def test_in_flight_batch_never_resurrects_an_invalidated_row(self):
+        # A batch gathers node 80's rows, an update to node 80 runs to
+        # completion while the batch is still inferring, then the batch
+        # finishes: its answer predates the update, so it must not be
+        # written back over the invalidation.
+        graph, _ = contextual_sbm(
+            200, n_classes=3, homophily=0.8, avg_degree=6, n_features=8,
+            feature_signal=2.0, seed=3,
+        )
+        engine = ServingEngine(
+            early_exit=False, threadsafe=True,
+            store=EmbeddingStore(1000, threadsafe=True),
+        )
+        key = engine.register("sgc", SGC(8, 3, k_hops=2, seed=0), graph)
+        namespace = engine.registry.get(key).namespace
+        engine.predict(80)  # node 80 resident before the race
+        gathered, release = threading.Event(), threading.Event()
+        infer = engine._infer
+
+        def gated_infer(*args):
+            gathered.set()
+            assert release.wait(30.0)
+            return infer(*args)
+
+        engine._infer = gated_infer
+        answers = []
+        batch = [PredictRequest(0, 80, key, engine._clock())]
+        worker = threading.Thread(
+            target=lambda: answers.append(engine.run_batch(batch))
+        )
+        worker.start()
+        assert gathered.wait(30.0)
+        report = engine.apply_update(80, 5)
+        assert report.store_invalidated >= 1
+        release.set()
+        worker.join(30.0)
+        assert not worker.is_alive()
+        assert answers and answers[0][0].ok  # the batch itself completed
+        assert engine.store.get(namespace, 80) is None
+        engine._infer = infer
+        fresh = ServingEngine(early_exit=False, store=None)
+        fresh.register("sgc", SGC(8, 3, k_hops=2, seed=0),
+                       engine.registry.get(key).graph)
+        served = engine.predict(80)
+        assert not served.cached
+        assert served.prediction == fresh.predict(80).prediction
+
+
 def _run_threads(n, target):
     threads = [threading.Thread(target=target, args=(t,)) for t in range(n)]
     for t in threads:
@@ -327,7 +403,7 @@ class TestPrimitiveThreadSafety:
         assert counter.value(status="ok") == 40000.0
 
     def test_latency_histogram_concurrent_records(self, fast_switching):
-        hist = LatencyHistogram(threadsafe=True)
+        hist = LatencyHistogram()
         value = 2.0 ** -10  # dyadic: sums exactly in any order
 
         def record(_tid):

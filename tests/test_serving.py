@@ -16,6 +16,7 @@ from repro.models.sgc import hop_features
 from repro.perf import PropagationEngine
 from repro.serving import (
     BatchingQueue,
+    CachedPrediction,
     EmbeddingStore,
     ModelRegistry,
     ServingEngine,
@@ -503,6 +504,66 @@ class TestEmbeddingStore:
         assert store.get("ns", 1) is not None
         assert store.get("ns", 2) is None
 
+    def test_is_a_feature_store_that_only_shapes_writes(self):
+        assert issubclass(EmbeddingStore, FeatureStore)
+        own = {k for k in vars(EmbeddingStore) if not k.startswith("__")}
+        assert own == {"put", "put_many"}
+        assert "__init__" in vars(EmbeddingStore)
+
+    def test_snapshot_keys(self):
+        assert set(EmbeddingStore(capacity=4).snapshot()) == {
+            "hits", "misses", "evictions", "accesses", "hit_rate",
+            "expirations", "invalidations", "stale_hits", "size",
+            "expired_resident", "capacity",
+        }
+
+    def test_put_returns_the_cached_prediction(self):
+        store = EmbeddingStore(capacity=4)
+        entry = store.put("ns", 1, np.int64(2), np.int64(1))
+        assert entry == CachedPrediction(2, 1)
+        assert type(entry.prediction) is int
+        assert store.get("ns", 1) is entry
+
+    def test_put_many_takes_triples(self):
+        store = EmbeddingStore(capacity=8)
+        store.put_many("ns", [(0, 2, 1), (3, 1, 2)])
+        assert store.get("ns", 0) == CachedPrediction(2, 1)
+        assert store.get("ns", 3) == CachedPrediction(1, 2)
+        assert len(store) == 2
+
+    def test_get_stale_serves_expired_rows_and_counts_apart(self):
+        clock = ManualClock()
+        store = EmbeddingStore(capacity=8, ttl_s=5.0, clock=clock)
+        store.put("ns", 0, 1, 2)
+        clock.advance(6.0)
+        assert store.get_stale("ns", 0) == CachedPrediction(1, 2)
+        assert store.get_stale("ns", 1) is None
+        assert store.stale_hits == 1
+        assert (store.stats.hits, store.stats.misses) == (0, 0)
+        assert store.get("ns", 0) is None  # the regular read expires it
+        assert store.get_stale("ns", 0) is None
+
+    def test_stats_accounting(self):
+        store = EmbeddingStore(capacity=2)
+        store.put("ns", 0, 0, 0)
+        store.put("ns", 1, 0, 0)
+        store.get("ns", 0)
+        store.get("ns", 9)
+        store.put("ns", 2, 0, 0)  # evicts node 1, the LRU row
+        s = store.stats
+        assert (s.hits, s.misses, s.evictions) == (1, 1, 1)
+        assert store.invalidate("ns") == 2 and store.invalidations == 2
+
+    @pytest.mark.parametrize("threadsafe", [False, True])
+    def test_probe_pattern_in_both_modes(self, threadsafe):
+        # The macro benchmark's store probe: put(ns, node, 1, 1), then get.
+        store = EmbeddingStore(capacity=4096, threadsafe=threadsafe)
+        for node in range(16):
+            store.put("probe", node, 1, 1)
+        get = store.get
+        assert all(get("probe", node).prediction == 1 for node in range(16))
+        assert store.stats.hits == 16
+
 
 # --------------------------------------------------------------------- #
 # ModelRegistry
@@ -718,13 +779,15 @@ class TestServingEngine:
         key = engine.register("sgc", model, graph)
         engine.predict(0)  # flushes → node 0 now cached
         engine.predict_many([1, 2, 0])
-        stats = engine.stats()
-        assert stats["served"] == 4
-        assert stats["cache_hits"] == 1
-        assert stats["latency"]["count"] == 4.0
-        assert stats["queue"]["submitted"] == 3
-        assert stats["store"]["hits"] == 1
-        assert key in stats["models"]
+        snap = engine.snapshot()
+        assert snap["served"] == 4
+        assert snap["cache_hits"] == 1
+        assert snap["models"] == 1
+        assert engine.latency.summary()["count"] == 4.0
+        assert engine.queue.snapshot()["submitted"] == 3
+        assert engine.store.snapshot()["hits"] == 1
+        assert [r.key for r in engine.registry.records()] == [key]
+        assert not hasattr(engine, "stats")
 
     def test_end_to_end_thousand_requests_with_midstream_updates(
         self, served_setup
@@ -767,6 +830,6 @@ class TestServingEngine:
             np.array([r.prediction for r in served]),
             np.array([r.prediction for r in scratch]),
         )
-        stats = engine.stats()
-        assert stats["latency"]["p50"] <= stats["latency"]["p99"]
-        assert stats["queue"]["mean_batch_size"] > 1.0
+        latency = engine.latency.summary()
+        assert latency["p50"] <= latency["p99"]
+        assert engine.queue.snapshot()["mean_batch_size"] > 1.0

@@ -104,8 +104,10 @@ class TestRouting:
             snap["boundary_requests"] + snap["interior_requests"]
             == snap["requests"]
         )
-        stats = router.stats()
-        assert len(stats["shards"]) == N_PARTS
+        assert sum(
+            snap[f"requests{{shard={p}}}"] for p in range(N_PARTS)
+        ) == 12
+        assert not hasattr(router, "stats")
 
     def test_closed_router_rejects_requests(self, setup):
         graph, part, model = setup
