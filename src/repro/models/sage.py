@@ -7,6 +7,11 @@ training the neighbourhood mean comes from a sampler's
 full row-normalised adjacency. The same weights serve both paths, so a
 model trained with any block sampler (uniform, LABOR, layer-wise) is
 evaluated exactly.
+
+Inference for a subset of nodes costs what their L-hop neighbourhood
+costs, not what the graph costs: :meth:`GraphSAGE.forward_full` with
+``rows=`` multiplies only the rows of each layer's dependency frontier
+and returns logits bitwise equal to the full forward's rows.
 """
 
 from __future__ import annotations
@@ -15,13 +20,48 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ConfigError, ShapeError
-from repro.editing.sampling import Block
+from repro.editing.sampling import Block, _check_node_ids
 from repro.graph.core import Graph
 from repro.graph.ops import normalized_adjacency
 from repro.tensor import functional as F
 from repro.tensor.autograd import Tensor, spmm
 from repro.tensor.nn import Dropout, Linear, Module
 from repro.utils.rng import as_rng
+
+# Rows per GEMM call in exact inference. BLAS picks its kernel, thread
+# split and tail handling from the operand shapes, so ``(x @ w)[r]`` is not
+# bitwise ``x[r] @ w`` in general (a single row even takes gemv). Feeding
+# every product as fixed ``(_ROW_BLOCK, k)`` blocks, the last one
+# zero-padded, makes a row's bits independent of how many rows share it.
+_ROW_BLOCK = 1024
+
+
+def _blocked_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` through equal-shape GEMM calls (see ``_ROW_BLOCK``)."""
+    a = np.ascontiguousarray(a)
+    out = np.empty((a.shape[0], w.shape[1]))
+    full = a.shape[0] - a.shape[0] % _ROW_BLOCK
+    for start in range(0, full, _ROW_BLOCK):
+        np.matmul(a[start:start + _ROW_BLOCK], w, out=out[start:start + _ROW_BLOCK])
+    if full < a.shape[0]:
+        tail = np.zeros((_ROW_BLOCK, a.shape[1]))
+        tail[: a.shape[0] - full] = a[full:]
+        out[full:] = (tail @ w)[: a.shape[0] - full]
+    return out
+
+
+def _linear_rows(linear: Linear, x: Tensor) -> Tensor:
+    """``linear(x)`` whose every output row depends only on its input row."""
+    weight = linear.weight
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data.T)
+        if weight.requires_grad:
+            weight._accumulate(x.data.T @ grad)
+
+    out = Tensor._make(_blocked_matmul(x.data, weight.data), (x, weight), backward)
+    return out if linear.bias is None else out + linear.bias
 
 
 class SAGEConv(Module):
@@ -42,13 +82,22 @@ class SAGEConv(Module):
         x_dst = x_src.head_rows(n_dst)
         return self.self_linear(x_dst) + self.neigh_linear(spmm(operator, x_src))
 
+    def infer(self, operator: sp.spmatrix, x_src: Tensor, x_dst: Tensor) -> Tensor:
+        """:meth:`forward` with the dst rows given, each output row
+        computed independently of the others (exact inference)."""
+        return _linear_rows(self.self_linear, x_dst) + _linear_rows(
+            self.neigh_linear, spmm(operator, x_src)
+        )
+
 
 class GraphSAGE(Module):
     """Multi-layer GraphSAGE usable with blocks or the full graph.
 
     ``forward_blocks(blocks, x_src)`` consumes the output of any block
     sampler (blocks input-layer first); ``forward_full(adj_rw, x)`` runs
-    exact inference with the row-normalised adjacency.
+    exact inference with the row-normalised adjacency, and
+    ``forward_full(adj_rw, x, rows)`` the same inference for ``rows`` only,
+    over their L-hop dependency frontier (see :meth:`frontiers`).
     """
 
     def __init__(
@@ -94,15 +143,82 @@ class GraphSAGE(Module):
                 x = F.relu(x)
         return x
 
-    def forward_full(self, adj_rw: sp.spmatrix, x: np.ndarray | Tensor) -> Tensor:
-        """Exact full-graph forward (identity blocks over all nodes)."""
+    def frontiers(self, adj_rw: sp.spmatrix, rows) -> list[np.ndarray]:
+        """Each layer's destination node ids for an exact forward of
+        ``rows``, input layer first.
+
+        The last layer's set is ``rows``; each earlier set is the next one
+        followed by its in-neighbours (columns of ``adj_rw``) not already
+        in it, sorted. Every set is therefore a prefix of the one before
+        it. Invalid ``rows`` raise :class:`~repro.errors.GraphError`.
+        """
+        adj = adj_rw.tocsr()
+        plan = self._plan(adj, _check_node_ids(rows, adj.shape[0]))
+        return [dst for dst, _ in plan]
+
+    def _plan(
+        self, adj: sp.csr_matrix, rows: np.ndarray
+    ) -> list[tuple[np.ndarray, sp.csr_matrix]]:
+        """``(dst ids, operator)`` per layer, input layer first.
+
+        The first operator is the row slice ``adj[dst]`` over global
+        columns; each later one is ``adj[dst]`` with its column ids mapped
+        to positions in the previous layer's dst set. Row slicing keeps
+        every row's neighbour order, so each aggregate sums the same terms
+        in the same order as the full product.
+        """
+        n = adj.shape[0]
+        seen = np.zeros(n, dtype=bool)
+        seen[rows] = True
+        dst, plan = rows, [(rows, adj[rows])]
+        for _ in self.convs[1:]:
+            nbrs = plan[-1][1].indices
+            fresh = np.unique(nbrs[~seen[nbrs]])
+            seen[fresh] = True
+            dst = np.concatenate([dst, fresh])
+            plan.append((dst, adj[dst]))
+        plan.reverse()
+        position = np.empty(n, dtype=adj.indices.dtype)
+        for i in range(1, len(plan)):
+            src, (dst, sub) = plan[i - 1][0], plan[i]
+            position[src] = np.arange(len(src), dtype=position.dtype)
+            plan[i] = (dst, sp.csr_matrix(
+                (sub.data, position[sub.indices], sub.indptr),
+                shape=(len(dst), len(src)),
+            ))
+        return plan
+
+    def forward_full(
+        self, adj_rw: sp.spmatrix, x: np.ndarray | Tensor, rows=None
+    ) -> Tensor:
+        """Exact full-neighbourhood forward.
+
+        ``rows=None`` returns every node's logits. Otherwise only the
+        logits of ``rows`` (any order, duplicates allowed), computed over
+        their dependency frontier: layer l multiplies ``len(frontier_l)``
+        operator rows instead of ``n``, and the result is bitwise equal to
+        ``forward_full(adj_rw, x).data[rows]``. Layer 1 multiplies its row
+        slice against the global ``x`` (no gather); later layers read the
+        previous layer's frontier rows.
+        """
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        n = adj_rw.shape[0]
-        for i, conv in enumerate(self.convs):
+        adj = adj_rw.tocsr()
+        n = adj.shape[0]
+        if x.shape[0] != n:
+            raise ShapeError(f"operator columns {n} != src rows {x.shape[0]}")
+        if rows is None:
+            plan = [(None, adj)] * len(self.convs)
+        else:
+            plan = self._plan(adj, _check_node_ids(rows, n))
+        for i, (conv, (dst, operator)) in enumerate(zip(self.convs, plan)):
             if self.dropout is not None:
                 x = self.dropout(x)
-            x = conv(adj_rw, x, n)
+            if i == 0 and dst is not None:
+                x_dst = x.gather_rows(dst)
+            else:
+                x_dst = x.head_rows(operator.shape[0])
+            x = conv.infer(operator, x, x_dst)
             if i < len(self.convs) - 1:
                 x = F.relu(x)
         return x

@@ -414,13 +414,18 @@ def train_sampled(
     seed=None,
     prefetch_depth: int = 0,
 ) -> TrainResult:
-    """Mini-batch training over sampler blocks; exact full-graph eval.
+    """Mini-batch training over sampler blocks; exact full-neighbour eval.
 
     Batches stream through the shared datapipe chain — ``SeedBatcher →
     SamplePerLayer/CompactPerLayer per hop → FeatureFetcher`` — which is
     bit-identical to calling ``sampler.sample(batch)`` per batch.
     ``prefetch_depth > 0`` overlaps sampling + feature gathering with the
     model's forward/backward via a bounded background prefetcher.
+
+    Validation and test logits come from ``model.forward_full(adj, x,
+    rows=split ids)``: exact full-neighbour inference over the split's
+    L-hop frontier only, bitwise equal to the whole-graph forward's rows,
+    so evaluation costs what the evaluated nodes' neighbourhood costs.
     """
     _check_inputs(graph, split)
     check_int_range("prefetch_depth", prefetch_depth, 0)
@@ -436,9 +441,9 @@ def train_sampled(
         model, split, graph.y, result,
         _loader_epoch(loader, lambda mb: model.forward_blocks(mb.blocks, mb.x),
                       len(split.train)),
-        lambda which: model.forward_full(full_op, graph.x).data[
-            getattr(split, which)
-        ],
+        lambda which: model.forward_full(
+            full_op, graph.x, getattr(split, which)
+        ).data,
         epochs, lr, weight_decay, patience,
     )
 

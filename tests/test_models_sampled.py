@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.editing.sampling import LaborSampler, NeighborSampler
-from repro.errors import ConfigError, NotFittedError
+from repro.errors import ConfigError, GraphError, NotFittedError, ShapeError
+from repro.graph import Graph
 from repro.models import SGC, GraphSAGE, NodeAdaptiveInference, PPRGo
-from repro.tensor.autograd import no_grad
+from repro.tensor import functional as F
+from repro.tensor.autograd import Tensor, no_grad, spmm
 
 
 class TestGraphSAGE:
@@ -53,6 +55,126 @@ class TestGraphSAGE:
         blocks = sampler.sample(np.arange(6))
         out = model.forward_blocks(blocks, featured_graph.x[blocks[0].src_ids])
         assert out.shape == (6, 3)
+
+
+def _sparse_graph_with_isolated_nodes():
+    """97 nodes, mean degree ~3, nodes 95 and 96 without neighbours."""
+    rng = np.random.default_rng(11)
+    edges = rng.integers(0, 95, size=(150, 2))
+    graph = Graph.from_edges(edges[edges[:, 0] != edges[:, 1]], n_nodes=97)
+    return graph.with_data(x=rng.normal(size=(97, 5)), y=rng.integers(0, 2, 97))
+
+
+_ROWS_CASES = {
+    "sorted": np.arange(3, 97, 4),
+    "unsorted": np.random.default_rng(2).permutation(97)[:31],
+    "duplicated": np.array([40, 7, 40, 40, 12, 7]),
+    "single": np.array([17]),
+    "empty": np.array([], dtype=np.int64),
+    "every_node": np.arange(97),
+    "with_zero_degree": np.array([95, 3, 96, 50]),
+}
+
+
+class TestRestrictedForward:
+    """``forward_full(adj, x, rows)`` == ``forward_full(adj, x).data[rows]``."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return _sparse_graph_with_isolated_nodes()
+
+    @staticmethod
+    def _model(n_layers):
+        # Two output columns with odd row counts and a single row are the
+        # shapes where a plain BLAS product's row bits depend on the batch.
+        model = GraphSAGE(5, 16, 2, n_layers=n_layers, seed=n_layers)
+        model.eval()
+        return model
+
+    @pytest.mark.parametrize("case", sorted(_ROWS_CASES))
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_bitwise_equal_to_full_rows(self, graph, n_layers, case):
+        rows = _ROWS_CASES[case]
+        model, adj = self._model(n_layers), GraphSAGE.prepare(graph)
+        with no_grad():
+            full = model.forward_full(adj, graph.x).data
+            restricted = model.forward_full(adj, graph.x, rows).data
+        assert restricted.shape == (len(rows), 2)
+        assert np.array_equal(restricted, full[rows])
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_each_layer_multiplies_its_frontier_rows(
+        self, graph, n_layers, monkeypatch
+    ):
+        import repro.models.sage as sage
+
+        products = []
+
+        def spy(matrix, dense):
+            products.append(matrix.shape[0])
+            return spmm(matrix, dense)
+
+        monkeypatch.setattr(sage, "spmm", spy)
+        model, adj = self._model(n_layers), GraphSAGE.prepare(graph)
+        rows = np.array([95, 3, 50])
+        frontiers = model.frontiers(adj, rows)
+        with no_grad():
+            model.forward_full(adj, graph.x, rows)
+        assert products == [len(f) for f in frontiers]
+        assert products[-1] == len(rows) and products[0] < graph.n_nodes
+        products.clear()
+        with no_grad():
+            model.forward_full(adj, graph.x)
+        assert products == [graph.n_nodes] * n_layers
+
+    def test_frontiers_are_prefix_closed_neighbourhoods(self, graph):
+        model, adj = self._model(3), GraphSAGE.prepare(graph)
+        rows = np.array([60, 95, 2, 60])
+        frontiers = model.frontiers(adj, rows)
+        assert np.array_equal(frontiers[-1], rows)
+        for earlier, later in zip(frontiers, frontiers[1:]):
+            assert np.array_equal(earlier[: len(later)], later)
+            needed = set(adj[later].indices.tolist()) | set(later.tolist())
+            assert set(earlier.tolist()) == needed
+            fresh = earlier[len(later):]
+            assert np.array_equal(fresh, np.unique(fresh))
+            assert not set(fresh.tolist()) & set(later.tolist())
+
+    def test_gradients_match_plain_layers(self, graph):
+        # Reference: the same layers through SAGEConv.forward (plain Linear).
+        model, adj = self._model(2), GraphSAGE.prepare(graph)
+        rows = np.array([4, 95, 30])
+        h = Tensor(graph.x)
+        for i, conv in enumerate(model.convs):
+            h = conv(adj, h, graph.n_nodes)
+            h = F.relu(h) if i == 0 else h
+        reference = h.gather_rows(rows)
+        (reference * reference).sum().backward()
+        expected = [p.grad.copy() for p in model.parameters()]
+        model.zero_grad()
+        restricted = model.forward_full(adj, graph.x, rows)
+        (restricted * restricted).sum().backward()
+        assert np.allclose(restricted.data, reference.data, atol=1e-12)
+        for param, grad in zip(model.parameters(), expected):
+            assert np.allclose(param.grad, grad, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [np.array([-1, 3]), np.array([97]), np.array([1.0, 2.0]),
+         np.array([[1, 2]]), np.array([True, False])],
+        ids=["negative", "out_of_range", "float", "two_d", "bool"],
+    )
+    def test_malformed_rows_rejected(self, graph, rows):
+        model, adj = self._model(2), GraphSAGE.prepare(graph)
+        with pytest.raises(GraphError):
+            model.forward_full(adj, graph.x, rows)
+        with pytest.raises(GraphError):
+            model.frontiers(adj, rows)
+
+    def test_feature_rows_must_match_operator(self, graph):
+        model, adj = self._model(1), GraphSAGE.prepare(graph)
+        with pytest.raises(ShapeError):
+            model.forward_full(adj, graph.x[:-1], np.array([0]))
 
 
 class TestPPRGo:
