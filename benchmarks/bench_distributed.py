@@ -13,8 +13,8 @@ Claims measured here:
    feature row per cross-partition arc per epoch through pairwise
    shared-memory buffers, so the *measured* floats received must equal
    ``cross_partition_arcs x feature_dim x epochs`` — the analytic
-   number :func:`repro.training.simulate_distributed_training` predicts
-   from the partition alone. Asserted exactly, not approximately.
+   number the shard plan predicts from the partition alone. Asserted
+   exactly, not approximately.
 3. **Zero-copy sharing.** Workers attach the published feature matrix
    and CSR arrays; the only duplication is each worker's explicit local
    row gather. Asserted: summed ``copied_bytes`` stays strictly under
@@ -27,6 +27,10 @@ Claims measured here:
    ``n_parts`` ranks and a cross-process trace was assembled; the
    per-rank registry dumps are embedded in the JSON artifact under
    ``rank_metrics``.
+5. **The in-process backend is the oracle.** ``get_backend("simulated")``
+   runs the same halo-shard rounds in one process; at every worker count
+   its final ``param_checksum`` must equal the process run's, bit for
+   bit. The pytest-benchmark hook times that in-process run.
 
 Run directly (``python benchmarks/bench_distributed.py [--smoke]``) or
 through pytest; ``--smoke`` shrinks sizes for CI.
@@ -43,8 +47,8 @@ from _common import emit, emit_json
 
 from repro.bench import Table, format_seconds
 from repro.datasets import contextual_sbm
+from repro.distributed import ProcessBackend, get_backend
 from repro.editing import ldg_partition
-from repro.training import simulate_distributed_training
 
 SPEEDUP_BOUND = 2.0     # 4 processes vs 1, only asserted with >= 4 cores
 PART_COUNTS = (1, 2, 4)
@@ -55,8 +59,6 @@ def _leftover_segments() -> list[str]:
 
 
 def run(smoke: bool = False) -> dict:
-    from repro.distributed import ProcessBackend
-
     if smoke:
         n_nodes, n_features, epochs = 600, 12, 3
     else:
@@ -69,7 +71,7 @@ def run(smoke: bool = False) -> dict:
     backend = ProcessBackend()
     table = Table(
         "E34: process-parallel distributed training",
-        ["workers", "wall", "speedup", "accuracy",
+        ["workers", "wall", "speedup", "in-process wall", "accuracy",
          "halo floats (measured)", "halo floats (analytic)", "attaches"],
     )
     rows = []
@@ -96,14 +98,9 @@ def run(smoke: bool = False) -> dict:
         if n_parts == 1:
             wall_1 = wall
         analytic = result.halo_floats_per_epoch * epochs
-        # The simulation oracle requires >= 2 parts; a 1-part run has no
-        # cut to predict (analytic == 0 on both sides).
-        sim = (
-            simulate_distributed_training(
-                graph, split, part.assignment, n_parts, epochs=epochs,
-            )
-            if n_parts >= 2
-            else None
+        oracle = get_backend("simulated").run(
+            graph, split, part.assignment, n_parts,
+            epochs=epochs, hidden=16, seed=0,
         )
         row = {
             "n_parts": n_parts,
@@ -114,29 +111,31 @@ def run(smoke: bool = False) -> dict:
             "halo_floats_analytic": analytic,
             "halo_floats_shipped": result.halo_floats_shipped,
             "cross_partition_arcs": result.cross_partition_arcs,
-            "sim_halo_floats_per_epoch": (
-                sim.halo_floats_per_epoch if sim is not None else 0
-            ),
+            "param_checksum": result.param_checksum,
+            "oracle_param_checksum": oracle.param_checksum,
+            "oracle_wall_s": oracle.wall_time_s,
             "attach_stats": dict(result.attach_stats),
             "sync_rounds": result.sync_rounds,
         }
         rows.append(row)
         table.add_row(
             n_parts, format_seconds(wall), f"{row['speedup']:.2f}x",
-            f"{result.test_accuracy:.3f}",
+            format_seconds(oracle.wall_time_s), f"{result.test_accuracy:.3f}",
             result.halo_floats_received, analytic,
             result.attach_stats["attaches"],
         )
 
-        # Claim 2: measured == analytic, exactly, and the analytic
-        # number agrees with the simulation's from the same partition.
+        # Claim 2: measured == analytic, exactly.
         assert result.halo_floats_received == analytic, (
             f"{n_parts}p: measured halo floats "
             f"{result.halo_floats_received} != analytic {analytic}"
         )
         assert result.halo_floats_shipped == result.halo_floats_received
-        if sim is not None:
-            assert result.halo_floats_per_epoch == sim.halo_floats_per_epoch
+        # Claim 5: the in-process run ends on the same parameters.
+        assert oracle.param_checksum == result.param_checksum, (
+            f"{n_parts}p: in-process checksum {oracle.param_checksum[:12]} "
+            f"!= process {result.param_checksum[:12]}"
+        )
 
         # Claim 3: zero-copy — duplication strictly under the mapping.
         stats = result.attach_stats
@@ -183,15 +182,15 @@ def test_distributed(benchmark):
     payload = run(smoke=True)
     assert payload["rows"][0]["sync_rounds"] == payload["epochs"]
 
-    # pytest-benchmark hook: the analytic accounting itself (pure
-    # partition arithmetic, the cheap half of what the run asserts).
+    # pytest-benchmark hook: the in-process backend, one round of the
+    # algorithm the process run executes.
     graph, split = contextual_sbm(
         300, n_classes=3, homophily=0.8, avg_degree=8,
         n_features=8, feature_signal=1.0, seed=2,
     )
     part = ldg_partition(graph, 2, seed=0)
     benchmark(
-        simulate_distributed_training,
+        get_backend("simulated").run,
         graph, split, part.assignment, 2, epochs=1,
     )
 
@@ -210,9 +209,9 @@ def main(argv=None) -> int:
     print(
         f"E34 ok: 4-process speedup {payload['speedup_4p']:.2f}x "
         f"(bound >= {SPEEDUP_BOUND:.1f}x, {gate}), "
-        f"halo traffic measured == analytic on "
-        f"{[r['n_parts'] for r in payload['rows']]} workers, "
-        f"no /dev/shm leftovers"
+        f"halo traffic measured == analytic and in-process checksum == "
+        f"process checksum on {[r['n_parts'] for r in payload['rows']]} "
+        f"workers, no /dev/shm leftovers"
     )
     return 0
 

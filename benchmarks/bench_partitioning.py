@@ -2,8 +2,9 @@
 
 Claims: (a) streaming (LDG/Fennel) and multilevel partitioners beat random
 assignment on edge cut by a wide margin at comparable balance; (b) in
-(simulated) distributed training the halo communication volume tracks the
-cut directly; (c) Cluster-GCN batches built from a good partition train to
+partition-parallel training (the in-process ``"simulated"`` backend, which
+runs the process backend's halo-shard rounds) the halo communication
+volume tracks the cut directly; (c) Cluster-GCN batches built from a good partition train to
 full-graph-level accuracy.
 """
 
@@ -20,7 +21,8 @@ from repro.editing.partition import (
     random_partition,
 )
 from repro.models import GCN
-from repro.training import simulate_distributed_training, train_subgraph
+from repro.distributed import get_backend
+from repro.training import train_subgraph
 
 K = 4
 
@@ -42,7 +44,7 @@ def test_partition_quality_and_communication(benchmark):
         ("multilevel", multilevel_partition),
     ):
         part = fn(graph, K, seed=0)
-        dist = simulate_distributed_training(
+        dist = get_backend("simulated").run(
             graph, split, part.assignment, K, epochs=40, seed=0
         )
         cuts[name] = (part, dist)

@@ -5,7 +5,8 @@ grid "road network":
 
 * hub labeling answers shortest-path-distance queries orders of magnitude
   faster than per-query BFS after a one-time indexing pass (§3.2.2),
-* graph partitioning splits the network across simulated workers, and the
+* graph partitioning splits the network across partition-parallel workers
+  (run in one process by the ``"simulated"`` backend), and the
   partitioner's edge cut directly sets the communication bill (§3.1.2).
 
 Run:  python examples/road_network_distributed.py
@@ -16,9 +17,9 @@ import numpy as np
 from repro.analytics import HubLabeling
 from repro.bench import Table, format_bytes, format_seconds
 from repro.datasets import random_split
+from repro.distributed import get_backend
 from repro.editing import ldg_partition, random_partition
 from repro.graph import grid_graph, shortest_path_distance
-from repro.training import simulate_distributed_training
 from repro.utils import Timer, as_rng
 
 
@@ -61,7 +62,7 @@ def main() -> None:
     )
     print(table.render())
 
-    # --- Partitioned (simulated distributed) training ------------------ #
+    # --- Partitioned (in-process distributed) training ----------------- #
     # Region labels: quadrant of the grid; features are noisy coordinates
     # (a sensor-region prediction task: GPS jitter in, region out).
     rows, cols = np.divmod(np.arange(road.n_nodes), GRID)
@@ -77,14 +78,14 @@ def main() -> None:
     split = random_split(graph.n_nodes, seed=0)
 
     table2 = Table(
-        "4-worker simulated training (80 epochs)",
+        "4-worker in-process distributed training (80 epochs)",
         ["partitioner", "edge cut", "halo floats/epoch", "test acc"],
     )
     for name, part in [
         ("random", random_partition(graph, 4, seed=0)),
         ("LDG streaming", ldg_partition(graph, 4, seed=0)),
     ]:
-        res = simulate_distributed_training(
+        res = get_backend("simulated").run(
             graph, split, part.assignment, 4, epochs=80, seed=0
         )
         table2.add_row(

@@ -15,7 +15,9 @@ Scalable Graph Neural Networks: The Perspective of Graph Data Management"*:
   engine: precomputation reuse across every decoupled model.
 * :mod:`repro.serving` — online inference: micro-batched request serving,
   content-keyed embedding store, incremental dirty-set invalidation.
-* :mod:`repro.training` — trainers, metrics, simulated distributed training.
+* :mod:`repro.training` — trainers, metrics, the minibatch datapipe.
+* :mod:`repro.distributed` — partition-parallel training over halo shards,
+  in one process or in spawned workers (one algorithm, bitwise equal).
 * :mod:`repro.obs` — unified observability: nested-span tracing, metrics
   registry + stats-source snapshots, ``repro.*`` logging (off by default).
 * :mod:`repro.resilience` — fault injection, checksummed checkpoints,

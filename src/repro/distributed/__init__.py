@@ -6,12 +6,13 @@ from ``multiprocessing.shared_memory``, exchange halo feature rows per
 cross-partition arc every round, and synchronise parameters through the
 coordinator with train-node-weighted averaging.
 
-:func:`repro.training.simulate_distributed_training` is not an oracle
-for these runs: it trains each worker on its induced subgraph with
-cross-partition edges dropped, while the process workers train on
-halo-augmented shards. The two share only the communication accounting
-(halo and parameter-sync floats) and the averaging rule. Pick a backend
-with :func:`get_backend`::
+:class:`SimulatedBackend` runs the same algorithm in one process: the
+same shard plan, the same per-rank
+:class:`~repro.distributed.worker.ShardStep` and fault injectors, the
+same :func:`~repro.distributed.backend.average_params` rule. With the same
+arguments it ends on the process run's ``param_checksum`` bit for bit,
+so it is the process backend's oracle. Pick a backend with
+:func:`get_backend`::
 
     from repro.distributed import get_backend
 
@@ -19,6 +20,9 @@ with :func:`get_backend`::
                                         epochs=10)
     assert result.halo_floats_received == \
         result.halo_floats_per_epoch * result.epochs
+    oracle = get_backend("simulated").run(graph, split, assignment, 4,
+                                          epochs=10)
+    assert oracle.param_checksum == result.param_checksum
 
 Every process run watches its workers through one :class:`Supervisor`;
 unsupervised, it evicts dead ranks and the survivors renormalise.

@@ -1,25 +1,28 @@
-"""Distributed training backends: one interface, simulated and real.
+"""Distributed training backends: one algorithm, in-process and real.
 
 :class:`DistributedBackend` is the common face of partition-parallel
-training. Two implementations:
+training, and both implementations run one algorithm: the same
+:func:`~repro.distributed.shards.build_shard_plan` shards, one
+:class:`~repro.distributed.worker.ShardStep` per rank (a GCN seeded
+``seed + 1 + rank`` that starts from ``GCN(seed=seed)``'s parameters and
+takes one local step per round on its owned and ghost rows, behind the
+rank's own ``training.worker_step`` fault injector), and one averaging
+rule (:func:`average_params`). Both validate through one path before any
+work and return a :class:`BackendResult`:
 
-* :class:`SimulatedBackend` — forwards to
-  :func:`repro.training.simulate_distributed_training`, the in-process
-  analytic model: no processes, each worker trains on its *induced*
-  subgraph with cross-partition edges dropped.
+* :class:`SimulatedBackend` — the rounds in one process. Features never
+  change, so the halo exchange would copy every ghost row onto itself;
+  it is skipped and only its analytic volume is reported.
 * :class:`ProcessBackend` — real ``spawn``-ed worker processes over
   shared-memory graph shards (:mod:`repro.distributed.shm`,
   :mod:`repro.distributed.shards`): the coordinator publishes the
   feature matrix and per-shard CSR arrays once, workers attach
-  zero-copy, train on *halo-augmented* shards — halo feature rows per
-  cross-partition arc arrive through pairwise shared buffers — and
-  synchronise parameters each round.
+  zero-copy, ship halo feature rows per cross-partition arc through
+  pairwise shared buffers, and synchronise parameters each round.
 
-The two train different models. They share the communication
-accounting (``cross_partition_arcs × feature dim`` halo floats per
-epoch, ``2 × n_params × n_parts`` sync floats per round) and the
-averaging rule (weights = local train-node counts, renormalised over
-the contributors), and both return a :class:`BackendResult`.
+With the same arguments the two end on the same ``param_checksum``, so
+the in-process backend is the process backend's bitwise oracle, fault
+plans included.
 
 Control plane (all shared memory, no queues — see
 :mod:`repro.distributed.worker` for why queues cannot survive a killed
@@ -61,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.distributed.shards import build_shard_plan
+from repro.distributed.shards import ShardPlan, build_shard_plan
 from repro.distributed.shm import ShmArena
 from repro.distributed.supervisor import (
     LEASE_CELLS,
@@ -76,6 +79,7 @@ from repro.distributed.worker import (
     META_GENERATION,
     META_N_TRAIN,
     META_ROUND,
+    ShardStep,
     WorkerSpec,
     flatten_state,
     unflatten_state,
@@ -83,7 +87,9 @@ from repro.distributed.worker import (
 )
 from repro.errors import ConfigError, DistributedError
 from repro.models.gcn import GCN
+from repro.resilience.faults import FaultInjector
 from repro.tensor.autograd import no_grad
+from repro.training.metrics import accuracy
 from repro.utils.validation import check_int_range
 
 _LOG = obs.get_logger("repro.distributed.backend")
@@ -105,8 +111,7 @@ class BackendResult:
     accounting) are only non-zero for the process backend — in a
     healthy run ``halo_floats_received`` equals
     ``halo_floats_per_epoch × epochs`` exactly, by the per-arc exchange
-    construction. ``checkpoint_restores`` counts the simulation's
-    ``recovery="restart"`` rollbacks.
+    construction.
     """
 
     backend: str
@@ -122,7 +127,6 @@ class BackendResult:
     worker_failures: int = 0
     straggler_events: int = 0
     degraded_rounds: int = 0
-    checkpoint_restores: int = 0
     workers_lost: int = 0
     # membership (the process backend's Supervisor)
     respawns: int = 0
@@ -131,7 +135,7 @@ class BackendResult:
     fenced_writes: int = 0
     recovery_latency_s: float = 0.0
     #: SHA-256 of the final averaged parameter vector's bytes — the
-    #: bit-identity witness the self-healing tests compare across runs.
+    #: bit-identity witness compared across runs and across backends.
     param_checksum: str = ""
     wall_time_s: float = 0.0
     attach_stats: dict = field(default_factory=dict)
@@ -146,7 +150,7 @@ class BackendResult:
 
 
 class DistributedBackend:
-    """Common interface over simulated and process-parallel training."""
+    """Common interface over in-process and process-parallel training."""
 
     name = "abstract"
 
@@ -155,17 +159,146 @@ class DistributedBackend:
         raise NotImplementedError
 
 
+def _plan(graph, split, assignment, n_parts: int, epochs: int) -> ShardPlan:
+    """Both backends' one validation path, run before any work.
+
+    Features and labels must be present, ``n_parts >= 1``,
+    ``epochs >= 1`` and ``split.train`` non-empty; the assignment is
+    checked by :func:`build_shard_plan` (one entry per node, every part
+    id in ``[0, n_parts)``, every part owning a node). Returns the plan.
+    """
+    if graph.x is None or graph.y is None:
+        raise ConfigError("graph needs features and labels")
+    check_int_range("n_parts", n_parts, 1)
+    check_int_range("epochs", epochs, 1)
+    if not len(split.train):
+        raise ConfigError("split.train is empty: no rank has a training node")
+    with obs.span("distributed.plan", n_parts=n_parts):
+        return build_shard_plan(graph, assignment, n_parts)
+
+
+def average_params(previous: np.ndarray, contributions: dict) -> np.ndarray:
+    """The averaging rule of both backends.
+
+    ``contributions`` maps rank -> ``(flat state, local train count)``,
+    the state ``None`` when the rank's update was lost. Weights are the
+    train counts renormalised over the contributors, summed in rank
+    order: float accumulation is not commutative in rounding, and
+    summing in arrival order would make the average (and every bitwise
+    guarantee built on it) racy. With no weight at all the previous
+    average stands.
+    """
+    live = [
+        (vec, n_train)
+        for _, (vec, n_train) in sorted(contributions.items())
+        if vec is not None and n_train > 0
+    ]
+    total_weight = sum(n_train for _, n_train in live)
+    if total_weight == 0:
+        return previous
+    return sum((n_train / total_weight) * vec for vec, n_train in live)
+
+
+def _final_fields(graph, split, plan: ShardPlan, model: GCN,
+                  averaged: np.ndarray) -> dict:
+    """The :class:`BackendResult` fields both backends derive alike: test
+    accuracy of the final average on the full graph, its checksum, and
+    the analytic communication accounting."""
+    model.load_state_dict(unflatten_state(averaged, model.state_dict()))
+    model.eval()
+    with obs.span("distributed.eval"), no_grad():
+        logits = model(GCN.prepare(graph), graph.x).data
+    test = split.test
+    return dict(
+        test_accuracy=accuracy(logits[test].argmax(axis=1), graph.y[test]),
+        cross_partition_arcs=plan.cross_arcs_total,
+        halo_floats_per_epoch=plan.halo_floats_per_epoch(graph.x.shape[1]),
+        param_sync_floats_per_round=2 * model.n_parameters() * plan.n_parts,
+        param_checksum=hashlib.sha256(
+            np.ascontiguousarray(averaged).tobytes()
+        ).hexdigest(),
+    )
+
+
 class SimulatedBackend(DistributedBackend):
-    """The in-process analytic backend (no processes)."""
+    """The process backend's rounds, run in one process.
+
+    Per round every rank runs its :class:`ShardStep` in rank order, and
+    the contributions are averaged by :func:`average_params` — the
+    process coordinator's arithmetic on the same inputs, so both backends
+    end on the same ``param_checksum``. There are no processes to lose,
+    so the run takes no membership, timeout or telemetry arguments, and
+    ``halo_floats_shipped``/``halo_floats_received`` stay 0.
+    """
 
     name = "simulated"
 
-    def run(self, graph, split, assignment: np.ndarray, n_parts: int,
-            **kwargs) -> BackendResult:
-        from repro.training.distributed import simulate_distributed_training
-
-        return simulate_distributed_training(
-            graph, split, assignment, n_parts, **kwargs
+    def run(
+        self,
+        graph,
+        split,
+        assignment: np.ndarray,
+        n_parts: int,
+        epochs: int = 20,
+        hidden: int = 32,
+        lr: float = 0.01,
+        weight_decay: float = 5e-4,
+        dropout: float = 0.3,
+        seed: int = 0,
+        fault_plan=None,
+        fault_seed: int = 0,
+    ) -> BackendResult:
+        """Train for ``epochs`` synchronous rounds over ``n_parts`` ranks;
+        the arguments mean what they mean to :meth:`ProcessBackend.run`."""
+        plan = _plan(graph, split, assignment, n_parts, epochs)
+        start = time.monotonic()
+        model = GCN(
+            graph.x.shape[1], hidden, graph.n_classes,
+            n_layers=2, dropout=dropout, seed=seed,
+        )
+        averaged = flatten_state(model.state_dict())
+        train_mask = np.zeros(graph.n_nodes, dtype=bool)
+        train_mask[split.train] = True
+        y = np.asarray(graph.y, dtype=np.int64)
+        ranks = []
+        for p, shard in enumerate(plan.shards):
+            local = shard.local_nodes
+            rank = ShardStep(
+                shard.local_graph(), graph.x[local], y[local],
+                np.flatnonzero(train_mask[shard.owned]),
+                n_classes=graph.n_classes, hidden=hidden, lr=lr,
+                weight_decay=weight_decay, dropout=dropout, seed=seed + 1 + p,
+                injector=(
+                    None if fault_plan is None
+                    else FaultInjector(fault_plan, seed=fault_seed + p)
+                ),
+            )
+            rank.load(averaged)
+            ranks.append(rank)
+        degraded_rounds = 0
+        for round_no in range(epochs):
+            contributions = {}
+            for p, rank in enumerate(ranks):
+                lost = rank.train_round(round_no)
+                contributions[p] = (None, 0) if lost else (
+                    flatten_state(rank.model.state_dict()), len(rank.train_ids)
+                )
+            degraded_rounds += any(
+                vec is None for vec, _ in contributions.values()
+            )
+            averaged = average_params(averaged, contributions)
+            for rank in ranks:
+                rank.load(averaged)
+        return BackendResult(
+            backend=self.name,
+            epochs=int(epochs),
+            n_parts=int(n_parts),
+            sync_rounds=int(epochs),
+            worker_failures=sum(r.counters["failures"] for r in ranks),
+            straggler_events=sum(r.counters["stragglers"] for r in ranks),
+            degraded_rounds=degraded_rounds,
+            wall_time_s=time.monotonic() - start,
+            **_final_fields(graph, split, plan, model, averaged),
         )
 
 
@@ -274,12 +407,9 @@ class ProcessBackend(DistributedBackend):
         ``cluster_snapshot`` (a chaos-killed rank's last published
         counters included).
         """
-        if graph.x is None or graph.y is None:
-            raise ConfigError("graph needs features and labels")
-        check_int_range("n_parts", n_parts, 1)
-        check_int_range("epochs", epochs, 1)
+        plan = _plan(graph, split, assignment, n_parts, epochs)
         return _Coordinator(
-            self, graph, split, assignment, int(n_parts),
+            self, graph, split, plan, int(n_parts),
             epochs=int(epochs), hidden=hidden, lr=lr,
             weight_decay=weight_decay, dropout=dropout, seed=seed,
             fault_plan=fault_plan, fault_seed=fault_seed,
@@ -296,16 +426,17 @@ class ProcessBackend(DistributedBackend):
 class _Coordinator:
     """One :meth:`ProcessBackend.run`, as an explicit sequence of phases.
 
-    plan → publish → launch → per round: gather / fence / average →
-    collect reports → evaluate → result, with the teardown in one
-    ``finally``. ``lease_policy`` is ``None`` for an unsupervised run;
-    the supervisor then runs the ``evict`` policy with no lease plane.
+    publish → launch → per round: gather / fence / average → collect
+    reports → evaluate → result, with the teardown in one ``finally``
+    (the validated shard plan comes in from :func:`_plan`).
+    ``lease_policy`` is ``None`` for an unsupervised run; the supervisor
+    then runs the ``evict`` policy with no lease plane.
     """
 
     backend: ProcessBackend
     graph: object
     split: object
-    assignment: np.ndarray
+    plan: ShardPlan
     n_parts: int
     epochs: int
     hidden: int
@@ -345,16 +476,11 @@ class _Coordinator:
     # ---- phases -------------------------------------------------------
 
     def execute(self) -> BackendResult:
-        with obs.span("distributed.plan", n_parts=self.n_parts):
-            self.plan = build_shard_plan(
-                self.graph, self.assignment, self.n_parts
-            )
         self.model = GCN(
             self.graph.x.shape[1], self.hidden, self.graph.n_classes,
             n_layers=2, dropout=self.dropout, seed=self.seed,
         )
-        self.template = self.model.state_dict()
-        self.averaged = flatten_state(self.template)
+        self.averaged = flatten_state(self.model.state_dict())
         self.start = time.monotonic()
         self.deadline = self.start + self.timeout_s
         try:
@@ -381,9 +507,11 @@ class _Coordinator:
                     self.round_hook(round_no, self.processes)
                 self._average(round_no, self._gather(round_no))
             self._collect_reports()
-            test_acc = self._evaluate()
+            final = _final_fields(
+                self.graph, self.split, self.plan, self.model, self.averaged
+            )
             self._count_run()
-            return self._result(test_acc)
+            return self._result(final)
         finally:
             self._teardown()
 
@@ -590,28 +718,14 @@ class _Coordinator:
         return contributions
 
     def _average(self, round_no: int, contributions: dict) -> None:
-        """Weighted average over surviving, non-failed contributions.
-
-        Weights are local train-node counts, renormalised over the
-        contributors. Fixed rank order: contributions land in arrival
-        order, and float accumulation is not commutative in rounding —
-        summing in arrival order would make the averaged params (and the
-        bit-identity fencing guarantee) racy.
-        """
-        live = [
-            (vec, n_train)
-            for rank, (vec, n_train) in sorted(contributions.items())
-            if rank in self.expected and vec is not None and n_train > 0
-        ]
+        """Average the members' contributions; publish the result."""
         if len(contributions) < self.n_parts or any(
             vec is None for vec, _ in contributions.values()
         ):
             self.totals["degraded_rounds"] += 1
-        total_weight = sum(n_train for _, n_train in live)
-        if total_weight > 0:
-            self.averaged = sum(
-                (n_train / total_weight) * vec for vec, n_train in live
-            )
+        self.averaged = average_params(self.averaged, {
+            rank: c for rank, c in contributions.items() if rank in self.expected
+        })
         self.params[:] = self.averaged
         self.params_round[0] = round_no  # publish last
         self.totals["sync_rounds"] += 1
@@ -645,19 +759,6 @@ class _Coordinator:
         for proc in self.processes:
             proc.join(timeout=5.0)
 
-    def _evaluate(self) -> float:
-        """Test accuracy of the final average on the full graph."""
-        from repro.training.metrics import accuracy
-
-        self.model.load_state_dict(
-            unflatten_state(self.averaged, self.template)
-        )
-        self.model.eval()
-        with obs.span("distributed.eval"), no_grad():
-            logits = self.model(GCN.prepare(self.graph), self.graph.x).data
-        test = self.split.test
-        return accuracy(logits[test].argmax(axis=1), self.graph.y[test])
-
     def _count_run(self) -> None:
         counters = self.backend._counters
         counters["runs"] += 1
@@ -678,7 +779,7 @@ class _Coordinator:
                 self.attach_stats["attaches"]
             )
 
-    def _result(self, test_acc: float) -> BackendResult:
+    def _result(self, final: dict) -> BackendResult:
         telemetry_fields: dict = {}
         if self.tele is not None:
             # Close the run span first so the assembled trace's root
@@ -700,25 +801,15 @@ class _Coordinator:
         sup = self.supervisor.snapshot()
         return BackendResult(
             backend=self.backend.name,
-            test_accuracy=test_acc,
             epochs=self.epochs,
             n_parts=self.n_parts,
-            cross_partition_arcs=self.plan.cross_arcs_total,
-            halo_floats_per_epoch=self.plan.halo_floats_per_epoch(
-                self.graph.x.shape[1]
-            ),
-            param_sync_floats_per_round=(
-                2 * self.model.n_parameters() * self.n_parts
-            ),
+            **final,
             **self.totals,
             **{
                 key: int(sup[key]) for key in
                 ("respawns", "evictions", "leases_expired", "fenced_writes")
             },
             recovery_latency_s=float(sup["recovery_latency_s_max"]),
-            param_checksum=hashlib.sha256(
-                np.ascontiguousarray(self.averaged).tobytes()
-            ).hexdigest(),
             wall_time_s=time.monotonic() - self.start,
             attach_stats=dict(
                 self.attach_stats, published_bytes=self.arena.published_bytes

@@ -16,9 +16,9 @@ halo-augmented subgraph of its part:
   the local graph is *identical* to the global graph's — the property
   the router's exactness test pins down.
 
-The halo exchange maps are **per-arc**, matching the simulation's
-analytic accounting (``cross-partition arcs × feature dim`` floats per
-epoch): for each ordered shard pair ``p → q`` with cross arcs,
+The halo exchange maps are **per-arc**, matching the analytic
+accounting (``cross-partition arcs × feature dim`` floats per epoch):
+for each ordered shard pair ``p → q`` with cross arcs,
 ``send[q]`` on shard ``p`` lists the local row of the source of every
 arc, and ``recv[p]`` on shard ``q`` lists the ghost slot each shipped
 row lands in — same arc order on both sides, so the exchange is a

@@ -15,10 +15,12 @@ fixed sequence of phases (:func:`worker_main`):
    incarnation) or load the coordinator's initial parameters;
 4. per round: **halo exchange** (owned boundary rows per outgoing cross
    arc into the pairwise shared halo buffer, peers' rows into local
-   ghost slots), the ``"training.worker_step"`` **fault site**, one
-   **local GCN step** with the loss restricted to owned training nodes,
-   **parameter sync** (publish the flattened local state, load the
-   coordinator's weighted average) and the **resume save**;
+   ghost slots), the **shard step** (:class:`ShardStep`, which the
+   in-process backend runs too: the ``"training.worker_step"`` fault
+   site, then one local GCN step with the loss restricted to owned
+   training nodes), **parameter sync** (publish the flattened local
+   state, load the coordinator's weighted average) and the **resume
+   save**;
 5. **report** — a final shared-memory counter block: halo floats
    actually shipped/received, attach accounting, fault counters.
 
@@ -63,12 +65,7 @@ from repro.errors import DistributedError, FaultError, TransientError
 from repro.graph.core import Graph
 from repro.models.gcn import GCN
 from repro.resilience.checkpoint import Checkpointer
-from repro.resilience.faults import (
-    FAULTS,
-    FaultInjector,
-    clear_injector,
-    install_injector,
-)
+from repro.resilience.faults import FaultInjector
 from repro.tensor import functional as F
 from repro.tensor.optim import Adam
 
@@ -216,12 +213,118 @@ def _wait_cell(cell: np.ndarray, target: int, timeout_s: float,
     return True
 
 
+class ShardStep:
+    """One rank's local training over its halo-augmented shard.
+
+    Both backends train a rank through this object: the spawned
+    :class:`_Worker` over rows copied out of attached shared memory, the
+    in-process :class:`~repro.distributed.SimulatedBackend` over rows
+    gathered from the graph. ``x`` holds the owned rows then the ghost
+    rows and stays writable, so halo rows land in place; ``train_ids``
+    are the local ids of the owned training nodes. ``injector`` is the
+    rank's own :class:`~repro.resilience.FaultInjector` (seeded
+    ``fault_seed + rank``), consulted once per round at
+    ``training.worker_step``; ``steps``, ``failures`` and
+    ``stragglers`` are counted into ``counters``.
+    """
+
+    def __init__(self, local_graph: Graph, x: np.ndarray, y: np.ndarray,
+                 train_ids: np.ndarray, *, n_classes: int, hidden: int,
+                 lr: float, weight_decay: float, dropout: float, seed: int,
+                 injector: FaultInjector | None = None,
+                 counters: dict | None = None) -> None:
+        self.x, self.y, self.train_ids = x, y, train_ids
+        self.prep = GCN.prepare(local_graph)
+        self.model = GCN(
+            x.shape[1], hidden, n_classes,
+            n_layers=2, dropout=dropout, seed=seed,
+        )
+        self.opt = Adam(
+            self.model.parameters(), lr=lr, weight_decay=weight_decay
+        )
+        self.template = self.model.state_dict()
+        self.injector = injector
+        self.counters = (
+            dict.fromkeys(("steps", "failures", "stragglers"), 0)
+            if counters is None else counters
+        )
+
+    def load(self, vec: np.ndarray) -> None:
+        """Load a flat parameter vector (the coordinator's average)."""
+        self.model.load_state_dict(unflatten_state(vec, self.template))
+
+    def snapshot(self) -> dict:
+        """Everything a successor incarnation needs for a bit-exact
+        rejoin: parameters, optimizer moments, the dropout RNG position,
+        and the fault schedule position."""
+        snap = {
+            "model": self.model.state_dict(),
+            "optimizer": self.opt.state_dict(),
+        }
+        if self.model.dropout is not None:
+            snap["rng_state"] = self.model.dropout._rng.bit_generator.state
+        if self.injector is not None:
+            snap["fault_calls"] = self.injector.call_counts()
+        return snap
+
+    def restore(self, snap: dict) -> None:
+        """Return to a :meth:`snapshot` (a fresh injector is fast-forwarded
+        to the snapshot's fault schedule position)."""
+        self.model.load_state_dict(
+            {k: np.asarray(v) for k, v in snap["model"].items()}
+        )
+        self.opt.load_state_dict(snap.get("optimizer", {}))
+        if self.model.dropout is not None and "rng_state" in snap:
+            self.model.dropout._rng.bit_generator.state = snap["rng_state"]
+        fault_calls = snap.get("fault_calls")
+        if self.injector is not None and fault_calls:
+            self.injector.fast_forward(
+                {site: int(n) for site, n in fault_calls.items()}
+            )
+
+    def train_round(self, round_no: int) -> bool:
+        """Fault site, then one local GCN step; ``True`` when the
+        round's update is lost.
+
+        A raise at the fault site models a crash before the step; a
+        ``drop``/``corrupt`` action lets the step run but loses (or has
+        the coordinator reject) its update; ``delay`` is a straggler the
+        synchronous barrier has already waited out. A rank without
+        training nodes takes no step and never loses an update.
+        """
+        action = None
+        if self.injector is not None:
+            try:
+                action = self.injector.fire("training.worker_step")
+            except (TransientError, FaultError):
+                self.counters["failures"] += 1
+                return True
+            if action == "delay":
+                self.counters["stragglers"] += 1
+        if not len(self.train_ids):
+            return False
+        with obs.span("worker.step", round=round_no):
+            self.model.train()
+            self.opt.zero_grad()
+            with obs.span("worker.spmm"):
+                logits = self.model(self.prep, self.x)
+            loss = F.cross_entropy(
+                logits.gather_rows(self.train_ids), self.y[self.train_ids]
+            )
+            loss.backward()
+            self.opt.step()
+        self.counters["steps"] += 1
+        if action in ("drop", "corrupt"):
+            self.counters["failures"] += 1
+            return True
+        return False
+
+
 class _Worker:
     """One incarnation of one rank, phase by phase (see :func:`worker_main`)."""
 
     # Phase outputs that stay unset when their phase is off or not reached.
     beat_stop = span_writer = metrics_cells = registry = resume_ckpt = None
-    injector_installed = False
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
@@ -350,32 +453,28 @@ class _Worker:
     # ---- resume or init -----------------------------------------------
 
     def _build(self) -> None:
-        """The local world: halo-augmented shard, GCN, optimizer, faults."""
+        """The local world: the rank's :class:`ShardStep`, resume store."""
         spec = self.spec
         local_nodes = np.concatenate([self.owned, self.ghosts])
-        # The one deliberate duplication: this worker's local feature
-        # rows (owned + ghosts), writable so halo reads can land.
-        self.x_local = self.segs.count_copy(self.x_full[local_nodes].copy())
-        self.y_local = self.segs.count_copy(self.y_full[local_nodes].copy())
-        self.local_train = np.flatnonzero(self.train_mask[self.owned])
-        self.prep = GCN.prepare(Graph(
-            self.indptr, self.indices, self.weights,
-            directed=spec.directed, validate=False,
-        ))
-        self.model = GCN(
-            self.x_full.shape[1], spec.hidden, spec.n_classes,
-            n_layers=2, dropout=spec.dropout, seed=spec.seed,
+        self.shard = ShardStep(
+            Graph(
+                self.indptr, self.indices, self.weights,
+                directed=spec.directed, validate=False,
+            ),
+            # The one deliberate duplication: this worker's local feature
+            # rows (owned + ghosts), writable so halo reads can land.
+            self.segs.count_copy(self.x_full[local_nodes].copy()),
+            self.segs.count_copy(self.y_full[local_nodes].copy()),
+            np.flatnonzero(self.train_mask[self.owned]),
+            n_classes=spec.n_classes, hidden=spec.hidden, lr=spec.lr,
+            weight_decay=spec.weight_decay, dropout=spec.dropout,
+            seed=spec.seed,
+            injector=(
+                None if spec.fault_plan is None
+                else FaultInjector(spec.fault_plan, seed=spec.fault_seed + self.rank)
+            ),
+            counters=self.counters,
         )
-        self.opt = Adam(
-            self.model.parameters(), lr=spec.lr,
-            weight_decay=spec.weight_decay,
-        )
-        self.template = self.model.state_dict()
-        if spec.fault_plan is not None:
-            install_injector(
-                FaultInjector(spec.fault_plan, seed=spec.fault_seed + self.rank)
-            )
-            self.injector_installed = True
         # Resume checkpoints back the supervisor's respawn path: one
         # bit-exact snapshot per completed round, in a directory the
         # coordinator owns, namespaced per rank.
@@ -385,23 +484,8 @@ class _Worker:
                 namespace=f"rank{self.rank}",
             )
 
-    def _resume_snapshot(self) -> dict:
-        """Everything a successor incarnation needs for a bit-exact
-        rejoin: parameters, optimizer moments, the dropout RNG position,
-        and the fault schedule position."""
-        snap = {
-            "model": self.model.state_dict(),
-            "optimizer": self.opt.state_dict(),
-        }
-        if self.model.dropout is not None:
-            snap["rng_state"] = self.model.dropout._rng.bit_generator.state
-        inj = FAULTS.injector if FAULTS.active else None
-        if inj is not None:
-            snap["fault_calls"] = inj.call_counts()
-        return snap
-
     def _save_resume(self, step: int) -> None:
-        self.resume_ckpt.save(step, self._resume_snapshot())
+        self.resume_ckpt.save(step, self.shard.snapshot())
         self.counters["resume_saves"] += 1
 
     def resume_or_init(self) -> int:
@@ -420,17 +504,7 @@ class _Worker:
             # schedule make every redone computation bit-identical to
             # what the dead incarnation produced (or would have).
             step, snap = ckpt.load()
-            self.model.load_state_dict(
-                {k: np.asarray(v) for k, v in snap["model"].items()}
-            )
-            self.opt.load_state_dict(snap.get("optimizer", {}))
-            if self.model.dropout is not None and "rng_state" in snap:
-                self.model.dropout._rng.bit_generator.state = snap["rng_state"]
-            fault_calls = snap.get("fault_calls")
-            if self.injector_installed and fault_calls:
-                FAULTS.injector.fast_forward(
-                    {site: int(n) for site, n in fault_calls.items()}
-                )
+            self.shard.restore(snap)
             start = int(step)
             self.counters["restored_round"] = start
             self.last_round = start - 1
@@ -443,9 +517,7 @@ class _Worker:
         # parameter averaging begins from one shared point.
         if not _wait_cell(self.params_round, -1, self.spec.sync_timeout_s):
             raise DistributedError("timed out waiting for initial parameters")
-        self.model.load_state_dict(
-            unflatten_state(self.params_vec, self.template)
-        )
+        self.shard.load(self.params_vec)
         if ckpt is not None:
             # The step-0 snapshot pins the *initial* parameters: a rank
             # killed during round 0 must redo it from these, not from
@@ -456,7 +528,7 @@ class _Worker:
     # ---- one round ----------------------------------------------------
 
     def run_round(self, round_no: int) -> None:
-        """Halo exchange → fault site → step → sync → resume save."""
+        """Halo exchange → shard step → sync → resume save."""
         round_start = time.monotonic()
         # The round span is a per-round ROOT (no enclosing run span), so
         # a chaos kill mid-round leaves every previously flushed round
@@ -464,10 +536,7 @@ class _Worker:
         with obs.span("worker.round", round=round_no, rank=str(self.rank)):
             with obs.span("worker.halo_exchange", round=round_no):
                 self._exchange_halos(round_no)
-            failed, action = self._fault_site()
-            if not failed:
-                failed = self._step(round_no, action)
-            self._sync(round_no, failed)
+            self._sync(round_no, self.shard.train_round(round_no))
             if self.resume_ckpt is not None:
                 self._save_resume(round_no + 1)
         if self.registry is not None:
@@ -479,7 +548,7 @@ class _Worker:
         """Ship owned rows per outgoing cross arc, land peers' rows."""
         for peer in sorted(self.halo_out):
             buf, rnd = self.halo_out[peer]
-            buf[:] = self.x_local[self.send_idx[peer]]
+            buf[:] = self.shard.x[self.send_idx[peer]]
             rnd[0] = round_no  # publish AFTER payload complete
             self.counters["halo_floats_shipped"] += int(buf.size)
         for peer in sorted(self.halo_in):
@@ -493,52 +562,15 @@ class _Worker:
                 # already resident (degraded, never blocked).
                 self.counters["halo_misses"] += 1
                 continue
-            self.x_local[self.recv_idx[peer]] = buf
+            self.shard.x[self.recv_idx[peer]] = buf
             self.counters["halo_floats_received"] += int(buf.size)
-
-    def _fault_site(self) -> tuple[bool, str | None]:
-        """Consult ``training.worker_step``: ``(failed, action)``."""
-        inj = FAULTS.injector if FAULTS.active else None
-        if inj is None:
-            return False, None
-        try:
-            action = inj.fire("training.worker_step")
-        except (TransientError, FaultError):
-            self.counters["failures"] += 1
-            return True, None
-        if action == "delay":
-            self.counters["stragglers"] += 1
-        return False, action
-
-    def _step(self, round_no: int, action: str | None) -> bool:
-        """One local GCN step; ``True`` when its update is lost."""
-        if not len(self.local_train):
-            return False
-        with obs.span("worker.step", round=round_no):
-            self.model.train()
-            self.opt.zero_grad()
-            with obs.span("worker.spmm"):
-                logits = self.model(self.prep, self.x_local)
-            loss = F.cross_entropy(
-                logits.gather_rows(self.local_train),
-                self.y_local[self.local_train],
-            )
-            loss.backward()
-            self.opt.step()
-        self.counters["steps"] += 1
-        if action in ("drop", "corrupt"):
-            # The step ran but its update never reached (or was rejected
-            # by) the coordinator.
-            self.counters["failures"] += 1
-            return True
-        return False
 
     def _sync(self, round_no: int, failed: bool) -> None:
         """Publish the local state, then load the coordinator's average."""
         if not failed:
-            flatten_state(self.model.state_dict(), out=self.state_vec)
+            flatten_state(self.shard.model.state_dict(), out=self.state_vec)
         meta = self.state_meta
-        meta[META_N_TRAIN] = len(self.local_train)
+        meta[META_N_TRAIN] = len(self.shard.train_ids)
         meta[META_FAILED] = int(failed)
         meta[META_GENERATION] = self.spec.generation
         meta[META_ROUND] = round_no  # publish last
@@ -546,9 +578,7 @@ class _Worker:
             raise DistributedError(
                 f"timed out waiting for round {round_no} parameters"
             )
-        self.model.load_state_dict(
-            unflatten_state(self.params_vec, self.template)
-        )
+        self.shard.load(self.params_vec)
         self.counters["sync_rounds"] += 1
         self.last_round = round_no
 
@@ -569,8 +599,6 @@ class _Worker:
             # beat landing in a closed mapping would fault the exit path.
             self.beat_stop.set()
             self.beat_thread.join(timeout=5.0)
-        if self.injector_installed:
-            clear_injector()
         self.segs.close()
 
 

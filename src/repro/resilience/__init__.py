@@ -7,7 +7,7 @@ input. Four cooperating pieces:
 * :mod:`repro.resilience.faults` — seeded, deterministic chaos: a
   declarative :class:`FaultPlan` executed by a :class:`FaultInjector`
   at named sites inside the feature store, the propagation kernels, the
-  serving batch executor, and the simulated distributed workers.
+  serving batch executor, and the distributed training ranks.
 * :mod:`repro.resilience.checkpoint` — :class:`Checkpointer`: atomic
   temp-file + rename writes with a content SHA-256, so a training run
   killed mid-epoch resumes bit-identically and a corrupt file is

@@ -20,8 +20,9 @@ mid-write and being read after corruption:
 The trainers (:mod:`repro.training.trainers`) and
 :class:`repro.training.TrainingPipeline` snapshot model parameters,
 optimizer state, early-stopping state, histories, and RNG state every N
-epochs through this class; :func:`repro.training.distributed` uses it
-for checkpoint-restart worker recovery.
+epochs through this class; the process backend's workers
+(:mod:`repro.distributed.worker`) save a per-round resume snapshot
+through it for supervised, bit-exact rejoin.
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ site                    instrumented code
 ``propagation.hop``     :func:`repro.perf.spmm` /
                         :func:`repro.perf.rows_spmm` (every hop application)
 ``serving.batch``       :meth:`repro.serving.ServingEngine.run_batch`
-``training.worker_step``  per-worker steps in
-                        :func:`repro.training.simulate_distributed_training`
+``training.worker_step``  :meth:`repro.distributed.worker.ShardStep.train_round`,
+                        once per rank and round in both distributed
+                        backends (each rank's own injector, seeded
+                        ``fault_seed + rank``, not the global one)
 ======================  ====================================================
 
 Fault kinds and their site semantics:

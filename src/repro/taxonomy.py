@@ -56,7 +56,7 @@ TAXONOMY = TaxonomyNode(
                 _leaf(
                     "Training System",
                     "3.1.2",
-                    "repro.training.distributed:simulate_distributed_training",
+                    "repro.distributed.backend:SimulatedBackend",
                 ),
             ),
         ),

@@ -1,4 +1,4 @@
-"""Trainers, metrics, early stopping, and simulated distributed training.
+"""Trainers, metrics, early stopping, and the training datapipe.
 
 One trainer per architectural family (full-batch, decoupled, sampled,
 subgraph, PPRGo-style support batches) so that every model in
@@ -19,7 +19,6 @@ from repro.training.datapipe import (
     ToDevice,
     iterate_batches,
 )
-from repro.training.distributed import simulate_distributed_training
 from repro.training.metrics import accuracy, confusion_matrix, latency_summary, macro_f1
 from repro.training.pipeline import (
     PipelinePlan,
@@ -52,7 +51,6 @@ __all__ = [
     "train_sampled",
     "train_subgraph",
     "train_pprgo",
-    "simulate_distributed_training",
     "train_clustergcn_compensated",
     "PipelinePlan",
     "TrainingPipeline",

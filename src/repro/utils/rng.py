@@ -31,8 +31,8 @@ def as_rng(seed=None) -> np.random.Generator:
 def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent child generators from ``rng``.
 
-    Used by simulated distributed workers so that each worker owns a private
-    stream whose draws do not depend on scheduling order.
+    Each child is a private stream whose draws do not depend on the
+    order its siblings are consumed in.
     """
     seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
     return [np.random.default_rng(int(s)) for s in seeds]

@@ -23,7 +23,6 @@ from repro.distributed.worker import probe_injector_schedule
 from repro.editing import edge_cut, ldg_partition
 from repro.errors import ConfigError, DistributedError, GraphError
 from repro.resilience import FaultInjector, FaultPlan
-from repro.training import simulate_distributed_training
 
 CTX = mp.get_context("spawn")
 
@@ -250,19 +249,45 @@ class TestProcessBackend:
         assert glob.glob("/dev/shm/repro-dist-*") == []
         assert backend.snapshot()["runs"] == 1
 
-    def test_matches_simulation_accounting(self, dataset):
+    @pytest.mark.parametrize(
+        "n_parts, fault",
+        [(1, None), (2, None), (3, None), (2, "drop"), (2, "transient")],
+        ids=["1 part", "2 parts", "3 parts", "2 parts drop", "2 parts transient"],
+    )
+    def test_simulated_backend_is_bitwise_oracle(self, dataset, n_parts, fault):
+        """The in-process backend runs the process backend's algorithm:
+        the same final parameters, bit for bit, fault plans included."""
         graph, split = dataset
-        pr = ldg_partition(graph, 3, seed=0)
-        proc = get_backend("process").run(
-            graph, split, pr.assignment, 3,
-            epochs=3, seed=0, timeout_s=RUN_TIMEOUT_S,
-        )
+        pr = ldg_partition(graph, n_parts, seed=0)
+        kwargs = dict(epochs=5, seed=0)
+        if fault is not None:
+            kwargs.update(
+                fault_plan=FaultPlan().add(
+                    "training.worker_step", fault, rate=0.5
+                ),
+                fault_seed=7,
+            )
         sim = get_backend("simulated").run(
-            graph, split, pr.assignment, 3, epochs=3, seed=0
+            graph, split, pr.assignment, n_parts, **kwargs
         )
-        assert proc.cross_partition_arcs == sim.cross_partition_arcs
-        assert proc.halo_floats_per_epoch == sim.halo_floats_per_epoch
-        assert proc.param_sync_floats_per_round == sim.param_sync_floats_per_round
+        proc = get_backend("process").run(
+            graph, split, pr.assignment, n_parts,
+            timeout_s=RUN_TIMEOUT_S, **kwargs,
+        )
+        assert sim.backend == "simulated" and proc.backend == "process"
+        assert sim.param_checksum == proc.param_checksum
+        for name in (
+            "test_accuracy", "worker_failures", "degraded_rounds",
+            "sync_rounds", "cross_partition_arcs", "halo_floats_per_epoch",
+            "param_sync_floats_per_round",
+        ):
+            assert getattr(sim, name) == getattr(proc, name), name
+        if fault is not None:
+            assert sim.worker_failures > 0 and sim.degraded_rounds > 0
+        # Nothing is shipped in-process; the process backend ships the
+        # analytic volume exactly.
+        assert sim.halo_floats_received == 0
+        assert proc.halo_floats_received == proc.halo_floats_per_epoch * 5
 
     def test_fault_plan_ships_to_workers(self, dataset):
         graph, split = dataset
@@ -297,7 +322,9 @@ class TestProcessBackend:
 
 def _malformed_assignment(kind: str, n_nodes: int) -> np.ndarray:
     assignment = np.arange(n_nodes) % 3
-    if kind == "part id >= n_parts":
+    if kind == "part owns no nodes":
+        assignment = np.arange(n_nodes) % 2
+    elif kind == "part id >= n_parts":
         assignment[0] = 3
     elif kind == "negative part id":
         assignment[0] = -1
@@ -307,9 +334,10 @@ def _malformed_assignment(kind: str, n_nodes: int) -> np.ndarray:
 
 
 class TestAssignmentValidation:
-    """Both entry points reject what the shard plan rejects — nodes
-    with no owning worker, or an assignment of the wrong length — and
-    the process backend does so before spawning anything."""
+    """Both backends reject what the shard plan rejects — nodes with no
+    owning worker, a worker owning no nodes, or an assignment of the
+    wrong length — through one validation path that runs before any
+    work (so before the process backend spawns anything)."""
 
     @pytest.mark.parametrize("entry", ["simulated", "process"])
     @pytest.mark.parametrize(
@@ -318,21 +346,15 @@ class TestAssignmentValidation:
             ("part id >= n_parts", ConfigError),
             ("negative part id", ConfigError),
             ("3 entries short", GraphError),
+            ("part owns no nodes", ConfigError),
         ],
     )
     def test_malformed_assignment_rejected(self, dataset, entry, kind, error):
         graph, split = dataset
         assignment = _malformed_assignment(kind, graph.n_nodes)
+        kwargs = {"timeout_s": RUN_TIMEOUT_S} if entry == "process" else {}
         with pytest.raises(error):
-            if entry == "simulated":
-                simulate_distributed_training(
-                    graph, split, assignment, 3, epochs=1
-                )
-            else:
-                get_backend("process").run(
-                    graph, split, assignment, 3,
-                    epochs=1, timeout_s=RUN_TIMEOUT_S,
-                )
+            get_backend(entry).run(graph, split, assignment, 3, epochs=1, **kwargs)
         assert glob.glob("/dev/shm/repro-dist-*") == []
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import contextual_sbm
+from repro.distributed import get_backend
 from repro.errors import (
     CheckpointError,
     CircuitOpenError,
@@ -52,7 +53,6 @@ from repro.storage import FeatureStore
 from repro.tensor.autograd import Tensor
 from repro.training import (
     TrainingPipeline,
-    simulate_distributed_training,
     train_decoupled,
     train_full_batch,
 )
@@ -728,122 +728,63 @@ class TestServingDegradation:
 
 
 class TestDistributedFaults:
+    """Each rank consults its own injector (``fault_seed + rank``) at
+    ``training.worker_step``, once per round."""
+
     def _world(self):
         graph, split = _train_world(n_nodes=90, seed=5)
         assignment = np.arange(graph.n_nodes) % 2
         return graph, split, assignment
 
-    def test_reweight_survives_worker_crash(self):
+    def _run(self, plan=None, epochs=3):
         graph, split, assignment = self._world()
-        plan = FaultPlan(
-            [FaultSpec("training.worker_step", "transient", max_fires=1)]
+        return get_backend("simulated").run(
+            graph, split, assignment, 2, epochs=epochs, hidden=8, seed=1,
+            fault_plan=plan, fault_seed=0,
         )
-        with inject(plan, seed=0):
-            res = simulate_distributed_training(
-                graph, split, assignment, 2, epochs=3, hidden=8, seed=1
-            )
+
+    def test_reweight_survives_worker_crash(self):
+        # Each rank crashes once, in round 0: that round keeps the
+        # starting parameters, the next rounds train from them.
+        res = self._run(FaultPlan(
+            [FaultSpec("training.worker_step", "transient", max_fires=1)]
+        ))
         assert res.recovery == "reweight"
-        assert res.worker_failures == 1
-        assert res.degraded_rounds >= 1
+        assert res.worker_failures == 2
+        assert res.degraded_rounds == 1
+        assert res.sync_rounds == 3
         assert 0.0 <= res.test_accuracy <= 1.0
 
     def test_dropped_update_counts_as_failure(self):
-        graph, split, assignment = self._world()
-        plan = FaultPlan(
+        res = self._run(FaultPlan(
             [FaultSpec("training.worker_step", "drop", max_fires=2)]
-        )
-        with inject(plan, seed=0):
-            res = simulate_distributed_training(
-                graph, split, assignment, 2, epochs=3, hidden=8, seed=1
-            )
-        assert res.worker_failures == 2
+        ))
+        assert res.worker_failures == 4
+        assert res.degraded_rounds == 2
 
     def test_straggler_events_are_counted(self):
-        graph, split, assignment = self._world()
-        slept = []
-        plan = FaultPlan(
+        # A straggler delays the barrier but loses nothing: the run
+        # ends on the unfaulted run's parameters.
+        res = self._run(FaultPlan(
             [
                 FaultSpec(
                     "training.worker_step", "delay",
                     delay_s=0.001, max_fires=3,
                 )
             ]
-        )
-        inj = FaultInjector(plan, seed=0, sleep=slept.append)
-        install_injector(inj)
-        res = simulate_distributed_training(
-            graph, split, assignment, 2, epochs=4, hidden=8, seed=1
-        )
-        assert res.straggler_events == 3
-        assert slept == [0.001] * 3
+        ), epochs=4)
+        assert res.straggler_events == 6
+        assert res.worker_failures == 0 and res.degraded_rounds == 0
+        assert res.param_checksum == self._run(epochs=4).param_checksum
 
-    def test_restart_rolls_back_to_checkpoint(self, tmp_path):
-        graph, split, assignment = self._world()
-        ck = Checkpointer(tmp_path / "dist")
-        # Round 0 (2 worker steps) runs clean and checkpoints; the first
-        # worker step of round 1 crashes, forcing a cluster rollback.
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    "training.worker_step", "transient",
-                    after=2, max_fires=1,
-                )
-            ]
-        )
+    def test_global_injector_is_not_consulted(self):
+        # Ranks fire only their own injectors, as spawned workers do; a
+        # process-wide plan at the same site changes nothing.
+        plan = FaultPlan([FaultSpec("training.worker_step", "transient")])
         with inject(plan, seed=0):
-            res = simulate_distributed_training(
-                graph, split, assignment, 2, epochs=4, hidden=8, seed=1,
-                checkpointer=ck, checkpoint_every=1, recovery="restart",
-            )
-        assert res.recovery == "restart"
-        assert res.checkpoint_restores == 1
-        assert res.worker_failures == 1
-        assert ck.latest() is not None
-
-    def test_restart_rollback_matches_unfaulted_run_bit_exactly(self, tmp_path):
-        # A rollback must restore the *full* cluster state — optimizer
-        # moments and per-worker RNG streams, not just parameters — so a
-        # run that loses one round to a crash replays exactly like an
-        # uninterrupted run that is one round shorter.
-        graph, split, assignment = self._world()
-        ref_ck = Checkpointer(tmp_path / "ref")
-        simulate_distributed_training(
-            graph, split, assignment, 2, epochs=3, hidden=8, seed=1,
-            checkpointer=ref_ck, checkpoint_every=1,
-        )
-        ck = Checkpointer(tmp_path / "rec")
-        # Round 0 runs clean (calls 0-1) and checkpoints; round 1's first
-        # worker step (call 2) crashes, rolling the cluster back.
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    "training.worker_step", "transient",
-                    after=2, max_fires=1,
-                )
-            ]
-        )
-        with inject(plan, seed=0):
-            res = simulate_distributed_training(
-                graph, split, assignment, 2, epochs=4, hidden=8, seed=1,
-                checkpointer=ck, checkpoint_every=1, recovery="restart",
-            )
-        assert res.checkpoint_restores == 1
-        # Recovered round 3 is the reference's round 2, state for state.
-        _, ref_state = ref_ck.load(ref_ck.path_for(2))
-        _, rec_state = ck.load(ck.path_for(3))
-        for key, ref_arr in ref_state["model"].items():
-            assert np.array_equal(ref_arr, rec_state["model"][key])
-        for p in range(2):
-            ref_w, rec_w = ref_state[f"worker_{p}"], rec_state[f"worker_{p}"]
-            assert ref_w["optimizer"]["t"] == rec_w["optimizer"]["t"]
-            assert ref_w["rng_state"] == rec_w["rng_state"]
-
-    def test_restart_requires_checkpointer(self):
-        graph, split, assignment = self._world()
-        with pytest.raises(ConfigError, match="checkpointer"):
-            simulate_distributed_training(
-                graph, split, assignment, 2, epochs=2, recovery="restart"
-            )
+            res = self._run()
+        assert res.worker_failures == 0
+        assert res.param_checksum == self._run().param_checksum
 
 
 # ====================================================================== #

@@ -1,4 +1,4 @@
-"""Tests for training loops, early stopping, metrics, distributed sim."""
+"""Tests for training loops, early stopping, metrics, in-process distributed."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import reference_trainers as reference
 
 import repro.training as shared
 from repro.datasets import Split
+from repro.distributed import build_shard_plan, get_backend
 from repro.editing import NeighborSampler, cluster_batches, ldg_partition, node_subgraph_sample
 from repro.errors import ConfigError, ShapeError
 from repro.models import GCN, SGC, GraphSAGE, PPRGo
@@ -16,7 +17,6 @@ from repro.training import (
     accuracy,
     confusion_matrix,
     macro_f1,
-    simulate_distributed_training,
     train_clustergcn_compensated,
     train_decoupled,
     train_full_batch,
@@ -155,15 +155,20 @@ class TestTrainers:
         assert accs[0] == accs[1]
 
 
+def _simulate(graph, split, assignment, n_parts, **kwargs):
+    return get_backend("simulated").run(
+        graph, split, assignment, n_parts, **kwargs
+    )
+
+
 class TestDistributed:
     def test_runs_and_accounts_communication(self, csbm_dataset):
         graph, split = csbm_dataset
         pr = ldg_partition(graph, 4, seed=0)
-        res = simulate_distributed_training(
-            graph, split, pr.assignment, 4, epochs=30, seed=0
-        )
+        res = _simulate(graph, split, pr.assignment, 4, epochs=30, seed=0)
         assert res.test_accuracy > 0.6
         assert (res.backend, res.epochs, res.n_parts) == ("simulated", 30, 4)
+        assert res.sync_rounds == 30
         assert res.wall_time_s > 0.0
         assert res.halo_floats_per_epoch == res.cross_partition_arcs * graph.n_features
         assert res.param_sync_floats_per_round > 0
@@ -174,18 +179,21 @@ class TestDistributed:
         graph, split = csbm_dataset
         good = ldg_partition(graph, 4, seed=0)
         bad = random_partition(graph, 4, seed=0)
-        res_good = simulate_distributed_training(
-            graph, split, good.assignment, 4, epochs=3, seed=0
-        )
-        res_bad = simulate_distributed_training(
-            graph, split, bad.assignment, 4, epochs=3, seed=0
-        )
+        res_good = _simulate(graph, split, good.assignment, 4, epochs=3, seed=0)
+        res_bad = _simulate(graph, split, bad.assignment, 4, epochs=3, seed=0)
         assert res_good.halo_floats_per_epoch < res_bad.halo_floats_per_epoch
 
     def test_n_parts_validated(self, csbm_dataset):
         graph, split = csbm_dataset
         with pytest.raises(ConfigError):
-            simulate_distributed_training(graph, split, np.zeros(graph.n_nodes, dtype=int), 1)
+            _simulate(graph, split, np.zeros(graph.n_nodes, dtype=int), 0)
+
+    def test_epochs_validated(self, csbm_dataset):
+        # The process backend's rule, now shared: zero rounds would
+        # report an untrained model as a distributed run.
+        graph, split = csbm_dataset
+        with pytest.raises(ConfigError):
+            _simulate(graph, split, np.zeros(graph.n_nodes, dtype=int), 1, epochs=0)
 
     def test_workers_without_train_nodes_do_not_dilute_average(self, csbm_dataset):
         # Regression: parameter averaging used equal weights, so a
@@ -193,44 +201,48 @@ class TestDistributed:
         # let the other worker's never-trained weights dilute each
         # round's update. Weighted by train-node count, the zero-train
         # worker contributes nothing and the run must match a
-        # single-worker reference exactly.
+        # single-worker reference on worker 0's halo shard exactly.
+        import hashlib
+
+        from repro.distributed.worker import flatten_state
         from repro.models.gcn import GCN
         from repro.tensor import functional as F
         from repro.tensor.autograd import no_grad
         from repro.tensor.optim import Adam
-        from repro.utils.rng import as_rng, split_rng
 
         graph, split = csbm_dataset
         # Partition 1 holds only test nodes: zero local train nodes.
         assignment = np.zeros(graph.n_nodes, dtype=np.int64)
         assignment[split.test] = 1
         epochs, hidden, lr, wd = 12, 32, 0.01, 5e-4
-        res = simulate_distributed_training(
+        res = _simulate(
             graph, split, assignment, 2,
             epochs=epochs, hidden=hidden, lr=lr, weight_decay=wd, seed=0,
         )
 
-        # Reference: worker 0 alone, mirroring the sim's exact RNG
-        # derivation (worker 0's stream of split_rng(as_rng(0), 2)).
-        worker_rngs = split_rng(as_rng(0), 2)
-        nodes0 = np.flatnonzero(assignment == 0)
-        sub = graph.subgraph(nodes0)
+        # Reference: rank 0 alone on its halo shard, with the backend's
+        # seeding (rank model seed + 1 + rank, starting from the
+        # coordinator's GCN(seed=seed) parameters).
+        shard = build_shard_plan(graph, assignment, 2).shards[0]
         train_mask = np.zeros(graph.n_nodes, dtype=bool)
         train_mask[split.train] = True
-        local_train = np.flatnonzero(train_mask[nodes0])
+        local_train = np.flatnonzero(train_mask[shard.owned])
+        x, y = graph.x[shard.local_nodes], graph.y[shard.local_nodes]
         model = GCN(
             graph.n_features, hidden, graph.n_classes, n_layers=2,
-            dropout=0.3, seed=worker_rngs[0],
+            dropout=0.3, seed=1,
         )
+        model.load_state_dict(GCN(
+            graph.n_features, hidden, graph.n_classes, n_layers=2,
+            dropout=0.3, seed=0,
+        ).state_dict())
         opt = Adam(model.parameters(), lr=lr, weight_decay=wd)
-        prep = GCN.prepare(sub)
+        prep = GCN.prepare(shard.local_graph())
         for _ in range(epochs):
             model.train()
             opt.zero_grad()
-            logits = model(prep, sub.x)
-            loss = F.cross_entropy(
-                logits.gather_rows(local_train), sub.y[local_train]
-            )
+            logits = model(prep, x)
+            loss = F.cross_entropy(logits.gather_rows(local_train), y[local_train])
             loss.backward()
             opt.step()
         model.eval()
@@ -240,6 +252,8 @@ class TestDistributed:
             logits[split.test].argmax(axis=1), graph.y[split.test]
         )
         assert res.test_accuracy == ref_acc
+        ref_params = flatten_state(model.state_dict())
+        assert res.param_checksum == hashlib.sha256(ref_params.tobytes()).hexdigest()
 
     def test_no_train_nodes_anywhere_rejected(self, csbm_dataset):
         graph, _ = csbm_dataset
@@ -251,7 +265,7 @@ class TestDistributed:
         assignment = np.zeros(graph.n_nodes, dtype=np.int64)
         assignment[: graph.n_nodes // 2] = 1
         with pytest.raises(ConfigError):
-            simulate_distributed_training(graph, empty, assignment, 2, epochs=1)
+            _simulate(graph, empty, assignment, 2, epochs=1)
 
 
 # --------------------------------------------------------------------- #
