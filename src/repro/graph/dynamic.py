@@ -100,16 +100,34 @@ class DynamicGraph:
 
     def insert_edge(self, u: int, v: int) -> None:
         """Insert the undirected edge (u, v); duplicate/self edges rejected."""
+        self.insert_edges([(u, v)])
+
+    def insert_edges(self, edges: list[tuple[int, int]]) -> None:
+        """Insert a batch of undirected edges, all or none.
+
+        The whole batch is validated before the first insert, so a
+        rejected batch leaves the graph unchanged. Each edge must lie in
+        ``[0, n)``, join two distinct nodes, be absent from the graph and
+        appear once in the batch (``(u, v)`` and ``(v, u)`` are the same
+        edge); otherwise :class:`GraphError`.
+        """
         n = self.n_nodes
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) outside [0, {n})")
-        if u == v:
-            raise GraphError("self-loops are not supported")
-        if self.has_edge(u, v):
-            raise GraphError(f"edge ({u}, {v}) already present")
-        insort(self._adj[u], v)
-        insort(self._adj[v], u)
-        self._n_edges += 1
+        seen: set[tuple[int, int]] = set()
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) outside [0, {n})")
+            if u == v:
+                raise GraphError("self-loops are not supported")
+            if self.has_edge(u, v):
+                raise GraphError(f"edge ({u}, {v}) already present")
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise GraphError(f"edge ({u}, {v}) repeated in the batch")
+            seen.add(key)
+        for u, v in edges:
+            insort(self._adj[u], v)
+            insort(self._adj[v], u)
+        self._n_edges += len(edges)
 
     def snapshot(self) -> Graph:
         """An immutable CSR copy of the current state (features/labels kept)."""

@@ -473,8 +473,7 @@ class ServingEngine:
             # must appear atomic to concurrently gathering workers.
             with record.lock.writer:
                 dynamic = record.ensure_dynamic()
-                for u, v in edges:
-                    dynamic.insert_edge(u, v)
+                dynamic.insert_edges(edges)
                 seeds = [node for edge in edges for node in edge]
                 dirty = dirty_frontiers(dynamic, seeds, record.k_hops)
                 new_graph = dynamic.snapshot()

@@ -1,20 +1,16 @@
 """Partition-aware request routing over per-shard serving runtimes.
 
 :class:`ShardRouter` is the serving face of :mod:`repro.distributed`:
-one :class:`~repro.serving.runtime.ServingRuntime` per graph shard, a
-global-id front door, and halo maintenance between them.
+one :class:`~repro.serving.runtime.ServingRuntime` per graph shard and
+a global-id front door.
 
 * **Routing** — every request for a global node id lands on the runtime
   of the shard that *owns* the node (its partition part); the id is
-  translated to the shard-local id on the way in and back to the global
-  id on the answer. There is no broadcast and no scatter-gather: one
-  request touches exactly one shard's engine.
-* **Halo gathers** — a request for a *boundary* node (one incident to a
-  cross-partition arc) first refreshes the owning shard's ghost rows:
-  the full hop-stack rows of each ghost are copied from the shard that
-  owns that ghost (under the owner's reader lock and the target's
-  writer lock). Interior requests skip this entirely — the counters the
-  routing tests pin down.
+  translated to the shard-local owned id on the way in and back to the
+  global id on the answer. There is no broadcast and no scatter-gather:
+  one request touches exactly one shard's engine, and no rows move
+  between shards. Requests are counted as *boundary* (the node is
+  incident to a cross-partition arc) or *interior*.
 * **Failure isolation** — each shard's runtime owns its own circuit
   breakers, retry budget, and store. A failing shard engine trips only
   that shard's breaker; every other shard keeps serving unaffected.
@@ -23,16 +19,19 @@ global-id front door, and halo maintenance between them.
   local graph (each with a private hop stack and store). Routing always
   targets the shard's *active* replica; when its breaker opens, the
   router fails over to the first healthy replica, and a demoted primary
-  is readmitted only after its breaker cools down, its stale store is
-  flushed, its ghost rows are re-gathered, and a real probe request
-  succeeds (the failover state machine in ``DESIGN.md``).
+  is readmitted only after its breaker cools down, its store is
+  flushed, and a real probe request succeeds (the failover state
+  machine in ``DESIGN.md``).
 
-The local hop stacks are *exact* for owned nodes at registration: a
-shard's local graph keeps the full neighbourhood of every owned node
-(ghosts supply the cross-partition endpoints), so with row-normalised
-propagation (``kind="rw"``) a one-hop decoupled model served through the
-router answers identically to the same model served over the whole
-graph — the equivalence ``tests/test_shard_router.py`` asserts.
+Each shard answers from the hop stack of its halo-augmented local graph,
+and only owned rows ``[0, n_owned)`` are ever read. A shard's local
+graph keeps the full neighbourhood of every owned node (ghosts supply
+the cross-partition endpoints), so with row-normalised propagation
+(``kind="rw"``) a one-hop decoupled model served through the router
+answers identically to the same model served over the whole graph. At
+``k_hops > 1`` the answer for an owned node is hop ``k`` of a
+propagation over the shard's local graph — the oracle
+``tests/test_shard_router.py`` asserts for both.
 """
 
 from __future__ import annotations
@@ -103,7 +102,8 @@ class ShardRouter:
         self.n_parts = int(n_parts)
         self.replication_factor = int(replication_factor)
         self.owner = self.plan.assignment
-        self._g2l = []
+        #: global id -> local id on the owning shard (only owners serve)
+        self._local_of = np.empty(graph.n_nodes, dtype=np.int64)
         #: per shard: all replica runtimes / records, replica 0 = primary
         self._replicas: list[list[ServingRuntime]] = []
         self._replica_records: list[list] = []
@@ -119,9 +119,7 @@ class ShardRouter:
         # clobbering one slot.
         prefix_base = kwargs.pop("source_prefix", "serving.shard")
         for p, shard in enumerate(self.plan.shards):
-            g2l = np.full(graph.n_nodes, -1, dtype=np.int64)
-            g2l[shard.local_nodes] = np.arange(shard.n_local)
-            self._g2l.append(g2l)
+            self._local_of[shard.owned] = np.arange(shard.n_owned)
             self._boundary[shard.boundary] = True
             local = shard.local_graph(x=graph.x[shard.local_nodes])
             runtimes: list[ServingRuntime] = []
@@ -138,28 +136,9 @@ class ShardRouter:
                 records.append(runtime.engine.registry.get(key))
             self._replicas.append(runtimes)
             self._replica_records.append(records)
-        # Per-shard halo pull plan: owner part -> (ghost slots here,
-        # owned local ids there), grouped once so a gather is one locked
-        # block copy per owning shard.
-        self._halo_sources: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
-        for p, shard in enumerate(self.plan.shards):
-            sources: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            if len(shard.ghosts):
-                owners = self.owner[shard.ghosts]
-                slots = shard.n_owned + np.arange(len(shard.ghosts))
-                for q in np.unique(owners):
-                    mask = owners == q
-                    sources[int(q)] = (
-                        slots[mask],
-                        self._g2l[q][shard.ghosts[mask]],
-                    )
-            self._halo_sources.append(sources)
         self.requests = 0
         self.boundary_requests = 0
         self.interior_requests = 0
-        self.halo_gathers = 0
-        self.halo_rows_copied = 0
-        self.halo_gathers_by_part = dict.fromkeys(range(self.n_parts), 0)
         self.requests_by_part = dict.fromkeys(range(self.n_parts), 0)
         self.failovers = 0
         self.readmissions = 0
@@ -209,33 +188,6 @@ class ShardRouter:
         return self._runtimes[part].breaker(self._records[part].key)
 
     # ------------------------------------------------------------------ #
-    # Halo maintenance
-    # ------------------------------------------------------------------ #
-
-    def _gather_halo(self, part: int, replica: int | None = None) -> None:
-        """Refresh ``part``'s ghost hop-stack rows from their owners.
-
-        For each owning shard: copy the owners' full-depth rows under
-        their reader lock, then patch this shard's ghost slots under its
-        writer lock — ghost data served from this shard is at most one
-        gather old, and concurrent micro-batch reads never observe a
-        torn row. Owner rows always come from each owning shard's
-        *active* replica; ``replica`` selects which of ``part``'s
-        replicas to patch (default: its active one).
-        """
-        idx = self._active[part] if replica is None else replica
-        record = self._replica_records[part][idx]
-        for q, (slots, owner_rows) in self._halo_sources[part].items():
-            owner_record = self._replica_records[q][self._active[q]]
-            with owner_record.lock.reader:
-                rows = owner_record.stacked[:, owner_rows].copy()
-            with record.lock.writer:
-                record.stacked[:, slots] = rows
-            self.halo_rows_copied += len(slots)
-        self.halo_gathers += 1
-        self.halo_gathers_by_part[part] += 1
-
-    # ------------------------------------------------------------------ #
     # Replica health / failover
     # ------------------------------------------------------------------ #
 
@@ -255,15 +207,12 @@ class ShardRouter:
         return self._replica_state(part, replica) != "open"
 
     def _catch_up(self, part: int, replica: int) -> None:
-        """Bring one replica back in sync before it serves traffic:
-        flush its (possibly stale) store namespace and re-gather its
-        ghost rows from the shards that own them."""
-        runtime = self._replicas[part][replica]
-        record = self._replica_records[part][replica]
-        if runtime.engine.store is not None:
-            runtime.engine.store.invalidate(record.namespace)
-        if self._halo_sources[part]:
-            self._gather_halo(part, replica=replica)
+        """Flush one replica's store namespace before it serves traffic,
+        so its first answers (the readmission probe included) reach its
+        engine and breaker instead of a resident row."""
+        store = self._replicas[part][replica].engine.store
+        if store is not None:
+            store.invalidate(self._replica_records[part][replica].namespace)
 
     def _transition(self, part: int, to: int, kind: str) -> None:
         """Switch ``part``'s active replica, with obs breadcrumbs. All
@@ -297,8 +246,7 @@ class ShardRouter:
         request answering ``status="ok"`` — catch-up runs *before* the
         probe so the probe cannot be answered from a stale store row
         (a store hit never reaches the breaker, so it would be a
-        false-positive health signal) and so the first readmitted
-        request already serves fresh ghost data.
+        false-positive health signal).
         """
         if self._active[part] == 0:
             return
@@ -345,8 +293,8 @@ class ShardRouter:
     ) -> ServeResult:
         """Answer one global-node request on its owning shard.
 
-        Boundary nodes trigger a halo gather first; interior nodes go
-        straight to the shard engine. The returned
+        The request is counted as boundary or interior and answered by
+        the owning shard's engine alone. The returned
         :class:`~repro.serving.engine.ServeResult` carries the *global*
         node id.
         """
@@ -354,7 +302,7 @@ class ShardRouter:
             raise ServingError("router is closed; no new requests accepted")
         node_id = int(node_id)
         part = self.shard_of(node_id)
-        local = int(self._g2l[part][node_id])
+        local = int(self._local_of[node_id])
         replica = self._route(part)
         self.requests += 1
         self.requests_by_part[part] += 1
@@ -362,7 +310,6 @@ class ShardRouter:
         with obs.span("router.predict", shard=part, boundary=boundary):
             if boundary:
                 self.boundary_requests += 1
-                self._gather_halo(part)
             else:
                 self.interior_requests += 1
             result = self._replicas[part][replica].predict(
@@ -437,8 +384,8 @@ class ShardRouter:
             for runtime in replicas:
                 runtime.close()
         _LOG.info(
-            "router closed: %d requests (%d boundary, %d halo gathers)",
-            self.requests, self.boundary_requests, self.halo_gathers,
+            "router closed: %d requests (%d boundary)",
+            self.requests, self.boundary_requests,
         )
 
     def __enter__(self) -> "ShardRouter":
@@ -449,15 +396,16 @@ class ShardRouter:
 
     def snapshot(self) -> dict[str, float]:
         """Flat counter dict (:class:`repro.obs.StatsSource`); per-shard
-        request/halo-gather series are labelled ``{shard=p}``."""
+        request series are labelled ``{shard=p}``."""
         out = {
             "shards": self.n_parts,
             "replication_factor": self.replication_factor,
             "requests": self.requests,
             "boundary_requests": self.boundary_requests,
             "interior_requests": self.interior_requests,
-            "halo_gathers": self.halo_gathers,
-            "halo_rows_copied": self.halo_rows_copied,
+            # No rows cross shards; kept as 0 for the macro's router metrics.
+            "halo_gathers": 0,
+            "halo_rows_copied": 0,
             "failovers": self.failovers,
             "readmissions": self.readmissions,
             "request_errors": self.request_errors,
@@ -474,9 +422,6 @@ class ShardRouter:
             out[f"requests{{shard={part}}}"] = float(
                 self.requests_by_part[part]
             )
-            out[f"halo_gathers{{shard={part}}}"] = float(
-                self.halo_gathers_by_part[part]
-            )
             out[f"active_replica{{shard={part}}}"] = float(
                 self._active[part]
             )
@@ -487,9 +432,6 @@ class ShardRouter:
         self.requests = 0
         self.boundary_requests = 0
         self.interior_requests = 0
-        self.halo_gathers = 0
-        self.halo_rows_copied = 0
-        self.halo_gathers_by_part = dict.fromkeys(range(self.n_parts), 0)
         self.requests_by_part = dict.fromkeys(range(self.n_parts), 0)
         self.failovers = 0
         self.readmissions = 0
@@ -498,5 +440,6 @@ class ShardRouter:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardRouter(shards={self.n_parts}, requests={self.requests}, "
-            f"halo_gathers={self.halo_gathers}, closed={self._closed})"
+            f"boundary_requests={self.boundary_requests}, "
+            f"closed={self._closed})"
         )

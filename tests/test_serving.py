@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, LoadSheddingError, ServingError
+from repro.errors import ConfigError, GraphError, LoadSheddingError, ServingError
 from repro.graph import Graph
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.traversal import k_hop_neighborhood
@@ -753,6 +753,44 @@ class TestServingEngine:
         assert record.updates_applied == 2
         fresh = PropagationEngine().propagate(
             record.graph, record.graph.x, record.k_hops
+        )
+        for depth in range(record.k_hops + 1):
+            assert np.array_equal(record.stack[depth], fresh[depth])
+
+    @pytest.mark.parametrize(
+        "bad", ["present", "reversed", "self_loop", "out_of_range"]
+    )
+    def test_rejected_batch_is_not_half_applied(self, served_setup, bad):
+        """A batch whose later edge is invalid leaves the dynamic graph
+        untouched, so the next valid update's patched stack still equals
+        a fresh propagate of the resulting graph bitwise."""
+        graph, model = served_setup
+        engine = ServingEngine(store=None)
+        engine.register("sgc", model, graph, kind="sym")
+        record = engine.registry.get("sgc")
+        rng = np.random.default_rng(8)
+        u, v = fresh_edge(graph, rng)
+        second = {
+            "present": (int(graph.indices[0]), 0),
+            "reversed": (v, u),
+            "self_loop": (u, u),
+            "out_of_range": (u, graph.n_nodes),
+        }[bad]
+        dynamic = record.ensure_dynamic()
+        before = dynamic.snapshot()
+        with pytest.raises(GraphError):
+            engine.apply_updates([(u, v), second])
+        after = dynamic.snapshot()
+        assert dynamic.n_edges == graph.n_edges // 2
+        assert np.array_equal(after.indptr, before.indptr)
+        assert np.array_equal(after.indices, before.indices)
+        assert record.updates_applied == 0
+
+        a, b = fresh_edge(graph, rng)
+        engine.apply_update(a, b)
+        assert record.graph.n_edges == graph.n_edges + 2
+        fresh = PropagationEngine().propagate(
+            record.graph, record.graph.x, record.k_hops, kind="sym"
         )
         for depth in range(record.k_hops + 1):
             assert np.array_equal(record.stack[depth], fresh[depth])

@@ -1,7 +1,8 @@
 """Tests for partition-aware serving (repro.serving.ShardRouter):
-ownership routing, boundary-only halo gathers, per-shard breaker
-isolation, and exactness of sharded one-hop decoupled serving against a
-single global runtime."""
+ownership routing, boundary/interior request counting, per-shard breaker
+isolation, exactness of sharded one-hop decoupled serving against a
+single global runtime, and of k-hop serving against the halo-augmented
+per-shard oracle."""
 
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ import pytest
 from repro.editing import ldg_partition
 from repro.errors import ConfigError, ServingError
 from repro.models import SGC
+from repro.perf import propagate
 from repro.serving import ServingRuntime, ShardRouter
+from repro.tensor.autograd import Tensor, no_grad
 
 N_PARTS = 3
 
@@ -57,7 +60,7 @@ class TestRouting:
             assert result.status in ("ok", "cached", "early_exit")
         assert router.requests == len(nodes)
 
-    def test_halo_gathers_only_for_boundary_nodes(self, setup, router):
+    def test_boundary_and_interior_requests_are_counted(self, setup, router):
         graph, part, _ = setup
         boundary = [n for n in range(graph.n_nodes) if router.is_boundary(n)]
         interior = [n for n in range(graph.n_nodes) if not router.is_boundary(n)]
@@ -67,15 +70,17 @@ class TestRouting:
         take_interior = interior[:10]
         for node in take_interior:
             router.predict(node)
-        assert router.halo_gathers == 0
         assert router.interior_requests == len(take_interior)
+        assert router.boundary_requests == 0
 
         take_boundary = boundary[:10]
         for node in take_boundary:
             router.predict(node)
-        assert router.halo_gathers == len(take_boundary)
         assert router.boundary_requests == len(take_boundary)
-        assert router.halo_rows_copied > 0
+        assert router.interior_requests == len(take_interior)
+        snap = router.snapshot()
+        assert snap["boundary_requests"] == len(take_boundary)
+        assert snap["halo_gathers"] == snap["halo_rows_copied"] == 0
 
     def test_boundary_matches_halo_index(self, setup, router):
         """Router's boundary mask equals editing.partition.halo per part."""
@@ -148,6 +153,57 @@ class TestExactness:
                     via_router.prediction, via_global.prediction,
                     rtol=1e-10, atol=1e-12,
                 )
+
+    @pytest.mark.parametrize("k_hops", [1, 3])
+    def test_matches_halo_augmented_oracle(self, setup, k_hops):
+        """Every owned node is answered from hop ``k`` of a row-normalised
+        propagation over its shard's halo-augmented local graph."""
+        graph, part, _ = setup
+        model = SGC(graph.n_features, graph.n_classes, k_hops=k_hops, seed=0)
+        model.eval()
+        expected = np.full(graph.n_nodes, -1, dtype=np.int64)
+        with ShardRouter(
+            model, graph, part.assignment, N_PARTS,
+            kind="rw", runtime_kwargs=dict(early_exit=False),
+        ) as router:
+            for shard in router.plan.shards:
+                local = shard.local_graph(x=graph.x[shard.local_nodes])
+                rows = propagate(local, local.x, k_hops, "rw")[-1]
+                with no_grad():
+                    logits = model(Tensor(rows[: shard.n_owned])).data
+                expected[shard.owned] = logits.argmax(axis=1)
+            results = router.predict_many(range(graph.n_nodes))
+        assert all(r.status in ("ok", "cached") for r in results)
+        assert np.array_equal([r.prediction for r in results], expected)
+
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    def test_ghost_rows_are_never_read(self, setup, replication_factor):
+        """NaN in every replica's ghost slots changes no answer."""
+        graph, part, model = setup
+
+        def answers(poison):
+            router = ShardRouter(
+                model, graph, part.assignment, N_PARTS, kind="rw",
+                replication_factor=replication_factor,
+                runtime_kwargs=dict(early_exit=False, store=None),
+            )
+            with router:
+                if poison:
+                    for shard, records in zip(
+                        router.plan.shards, router._replica_records
+                    ):
+                        for record in records:
+                            record.stacked[:, shard.n_owned:] = np.nan
+                out = []
+                for r in range(replication_factor):
+                    router._active = [r] * N_PARTS
+                    out.append([
+                        res.prediction
+                        for res in router.predict_many(range(graph.n_nodes))
+                    ])
+            return out
+
+        assert answers(poison=True) == answers(poison=False)
 
 
 class _PoisonModel:

@@ -679,8 +679,3 @@ class TestShardedServingSources:
         }
         assert len(per_shard_requests) == 2
         assert sum(per_shard_requests.values()) == 6.0
-        halo_keys = [
-            k for k in snap
-            if k.startswith("serving.router.halo_gathers{shard=")
-        ]
-        assert len(halo_keys) == 2

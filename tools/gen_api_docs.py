@@ -119,14 +119,14 @@ would consume half-open probe slots:
 ```
             primary breaker opens              replica also unhealthy
   PRIMARY ---------------------------> FAILED  ----------------------+
-    ^        (failover: catch-up            OVER                     |
-    |         halo/store, then route        |                        v
+    ^        (failover: flush the           OVER                     |
+    |         replica's store, then route   |                        v
     |         to first healthy replica)     |                  stay put, per-
     |                                       |                  request errors
     +---------------------------------------+
       readmission: primary breaker leaves "open" (cooldown elapsed)
-      -> invalidate primary's store namespace, re-gather halo rows,
-         send one live probe through the primary; readmit only on
+      -> invalidate primary's store namespace, then send one live
+         probe through the primary; readmit only on
          `status == "ok"` and not degraded
 ```
 
