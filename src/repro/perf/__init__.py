@@ -20,7 +20,8 @@ that reuse concrete:
 * :mod:`repro.perf.propagation` — :class:`PropagationEngine`, K-hop SpMM
   with memoized hop stacks, the shared ``propagate(graph, X, K, kind)``
   entry point of every decoupled model; ``spmm``/``rows_spmm`` wrap
-  scipy's product in the ``propagation.hop`` fault site.
+  scipy's product in the ``propagation.hop`` fault site, and
+  ``row_operator`` builds chosen rows of an engine operator uncached.
 """
 
 from repro.perf.arena import (
@@ -43,6 +44,7 @@ from repro.perf.propagation import (
     PropagationEngine,
     get_default_engine,
     propagate,
+    row_operator,
     rows_spmm,
     set_default_engine,
     spmm,
@@ -65,6 +67,7 @@ __all__ = [
     "PropagationEngine",
     "spmm",
     "rows_spmm",
+    "row_operator",
     "propagate",
     "get_default_engine",
     "set_default_engine",

@@ -32,11 +32,16 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.errors import ConfigError
+from repro.graph import ops as graph_ops
 from repro.graph.core import Graph
 from repro.obs import OBS
 from repro.perf.bounded_cache import BoundedCache
 from repro.perf.fingerprint import array_fingerprint
-from repro.perf.operator_cache import OperatorCache, get_default_cache
+from repro.perf.operator_cache import (
+    OperatorCache,
+    _cast_shared,
+    get_default_cache,
+)
 from repro.resilience.faults import FAULTS
 from repro.storage.feature_cache import CacheStats
 from repro.utils.validation import check_int_range
@@ -45,6 +50,46 @@ from repro.utils.validation import check_int_range
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _ENGINE_KINDS = ("gcn", "rw", "lazy", "col", "sym", "lap")
+
+
+def _kind_operator(kind: str, alpha: float | None):
+    """How an engine ``kind`` is built: ``(OperatorCache accessor name,
+    repro.graph.ops function, keyword arguments)``, one mapping for the
+    cached whole-graph operator and the uncached row operator."""
+    if kind in ("gcn", "rw", "lazy"):
+        return ("propagation", graph_ops.propagation_matrix,
+                {"scheme": kind, "alpha": alpha})
+    if kind in ("col", "sym"):
+        return ("normalized_adjacency", graph_ops.normalized_adjacency,
+                {"kind": kind, "self_loops": False})
+    if kind == "lap":
+        return "laplacian", graph_ops.laplacian_matrix, {"kind": "sym"}
+    raise ConfigError(f"kind must be one of {_ENGINE_KINDS}, got {kind!r}")
+
+
+def row_operator(
+    graph: Graph,
+    rows: np.ndarray,
+    kind: str = "gcn",
+    alpha: float | None = None,
+    dtype=None,
+) -> sp.csr_matrix:
+    """Rows ``rows`` of :meth:`PropagationEngine.operator`'s operator.
+
+    An ``(n, n)`` CSR whose other rows are empty, each kept row bitwise the
+    cached operator's row (``dtype`` casts the values the way the cache's
+    value-dtype variants do). Built anew for ``graph``: it never
+    enters an :class:`OperatorCache` and never fingerprints the graph, so
+    its cost is the kept rows' non-zeros plus O(n) vector work. The
+    operator incremental serving patches dirty hop-stack rows with.
+    """
+    _, build, kwargs = _kind_operator(kind, alpha)
+    matrix = build(graph, rows=rows, **kwargs)
+    if dtype is None or np.dtype(dtype) == matrix.dtype:
+        return matrix
+    # Not matrix.astype, which re-sorts the rows and so would change the
+    # summation order of kinds whose rows are not in column order.
+    return _cast_shared(matrix, np.dtype(dtype))
 
 
 def _fire_hop_fault():
@@ -166,20 +211,8 @@ class PropagationEngine:
         ``dtype`` selects a value-dtype variant (cached alongside the
         canonical operator, sharing its frozen index structure).
         """
-        if kind in ("gcn", "rw", "lazy"):
-            return self.cache.propagation(graph, scheme=kind, alpha=alpha,
-                                          dtype=dtype)
-        if kind == "col":
-            return self.cache.normalized_adjacency(
-                graph, kind="col", self_loops=False, dtype=dtype
-            )
-        if kind == "sym":
-            return self.cache.normalized_adjacency(
-                graph, kind="sym", self_loops=False, dtype=dtype
-            )
-        if kind == "lap":
-            return self.cache.laplacian(graph, kind="sym", dtype=dtype)
-        raise ConfigError(f"kind must be one of {_ENGINE_KINDS}, got {kind!r}")
+        accessor, _, kwargs = _kind_operator(kind, alpha)
+        return getattr(self.cache, accessor)(graph, dtype=dtype, **kwargs)
 
     def _feature_fingerprint(self, features: np.ndarray) -> str:
         """Content hash of a feature matrix, memoized by identity.

@@ -37,6 +37,7 @@ from repro.graph.core import Graph
 from repro.models.nai import confidence_gated_predict
 from repro.obs import OBS
 from repro.perf.arena import get_default_arena
+from repro.perf.propagation import row_operator
 from repro.resilience.faults import FAULTS
 from repro.serving.batching import BatchingQueue, PredictRequest
 from repro.serving.invalidation import UpdateReport, dirty_frontiers, patch_stack
@@ -449,9 +450,10 @@ class ServingEngine:
 
         Only the K-hop dirty rows of the hop stack are recomputed (exact —
         see :mod:`repro.serving.invalidation`) and only the dirty nodes'
-        cached predictions are evicted from the store. The propagation
-        *operator* is rebuilt for the new snapshot (one O(edges) pass; the
-        dense SpMM work, which dominates, stays local).
+        cached predictions are evicted from the store. Of the new
+        snapshot's propagation operator only the dirty rows are built
+        (:func:`repro.perf.row_operator`), outside the operator cache and
+        without fingerprinting the snapshot.
         """
         return self.apply_updates([(u, v)], model=model)
 
@@ -477,13 +479,17 @@ class ServingEngine:
                 seeds = [node for edge in edges for node in edge]
                 dirty = dirty_frontiers(dynamic, seeds, record.k_hops)
                 new_graph = dynamic.snapshot()
-                # dtype-matched operator: a float32 stack is patched with
-                # float32 products (kernel-eligible, no silent upcast).
-                operator = self.registry.engine.operator(
-                    new_graph, record.kind, record.alpha, dtype=record.dtype
-                )
-                with obs.span("serving.patch_stack", depths=len(dirty)):
-                    rows = patch_stack(record.stack, operator, dirty)
+                rows = 0
+                if dirty:
+                    # patch_stack reads only rows D_j of the operator, and
+                    # D_1 ⊆ … ⊆ D_K. dtype-matched: a float32 stack is
+                    # patched with float32 products (no silent upcast).
+                    operator = row_operator(
+                        new_graph, dirty[-1], record.kind, record.alpha,
+                        dtype=record.dtype,
+                    )
+                    with obs.span("serving.patch_stack", depths=len(dirty)):
+                        rows = patch_stack(record.stack, operator, dirty)
                 record.graph = new_graph
                 record.rows_recomputed += rows
                 record.updates_applied += len(edges)

@@ -15,11 +15,14 @@ where :math:`H'_{j-1}` is the already-patched previous depth and
 :math:`N_j` is the ``j``-hop neighbourhood. Dense recompute cost is
 :math:`\\sum_j |D_j|` rows instead of :math:`K \\cdot n` — the push-based
 dirty-set discipline the serving engine's recompute counters expose.
+
+Since :math:`D_1 \\subseteq \\cdots \\subseteq D_K`, the patch reads only rows
+:math:`D_K` of :math:`P'`, so the serving engine builds just those rows
+(:func:`repro.perf.row_operator`) instead of the whole new operator.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -74,9 +77,10 @@ def dirty_frontiers(
 ) -> list[np.ndarray]:
     """``[N_1, ..., N_k]``: nodes within ``j`` hops of ``seeds`` (inclusive).
 
-    One BFS over the (post-insertion) adjacency, recording cumulative
-    neighbourhoods per depth. ``N_j`` is exactly the set of rows of
-    :math:`P^j X` perturbed by an update at the seed nodes.
+    One level-synchronous BFS over the (post-insertion) CSR: each level
+    gathers the frontier's rows at once and keeps the unreached ids.
+    ``N_j`` is exactly the set of rows of :math:`P^j X` perturbed by an
+    update at the seed nodes.
     """
     check_int_range("k", k, 0)
     seeds = np.unique(np.asarray(list(seeds), dtype=np.int64))
@@ -85,19 +89,13 @@ def dirty_frontiers(
         raise ConfigError(f"seeds outside [0, {n})")
     reached = np.zeros(n, dtype=bool)
     reached[seeds] = True
-    frontier = deque(int(s) for s in seeds)
+    frontier = seeds
     levels: list[np.ndarray] = []
     for _ in range(k):
-        fresh: list[int] = []
-        for _ in range(len(frontier)):
-            u = frontier.popleft()
-            for v in dynamic.neighbors(u):
-                if not reached[v]:
-                    reached[v] = True
-                    fresh.append(v)
-                    frontier.append(v)
-        levels.append(np.flatnonzero(reached).astype(np.int64))
-        frontier = deque(fresh)
+        ahead = dynamic.neighbors_of(frontier)
+        frontier = np.unique(ahead[~reached[ahead]])
+        reached[frontier] = True
+        levels.append(np.flatnonzero(reached))
     return levels
 
 
@@ -110,7 +108,10 @@ def patch_stack(
 
     ``stack[0]`` (raw features) is never touched; for each deeper level the
     dirty rows are re-derived from the already-patched previous level via
-    :func:`repro.perf.rows_spmm`. Returns the number of rows recomputed.
+    :func:`repro.perf.rows_spmm`. Only rows ``dirty_per_depth[-1]`` of
+    ``operator`` are read, so a row-restricted operator
+    (:func:`repro.perf.row_operator`) serves as well as the full one.
+    Returns the number of rows recomputed.
     The result is exact: untouched rows are bit-identical to a full
     recompute by the locality argument in the module docstring.
     """

@@ -95,7 +95,8 @@ class ServedModel:
         return list(np.take(self.stacked, nodes, axis=1, out=out))
 
     def ensure_dynamic(self) -> DynamicGraph:
-        """The mutable adjacency behind this model, created on first update."""
+        """The mutable adjacency behind this model, created on first update
+        (borrowing the graph's CSR arrays, so O(1))."""
         if self.dynamic is None:
             self.dynamic = DynamicGraph.from_graph(self.graph)
         return self.dynamic

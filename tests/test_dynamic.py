@@ -8,6 +8,8 @@ from repro.errors import GraphError
 from repro.graph import Graph, barabasi_albert_graph, path_graph
 from repro.graph.dynamic import DynamicGraph, IncrementalPPR
 
+import reference_dynamic as reference
+
 
 class TestDynamicGraph:
     def test_from_graph_roundtrip(self, ba_graph):
@@ -84,7 +86,68 @@ class TestDynamicGraph:
         assert np.array_equal(snap.indices, fresh.indices)
 
 
+    def test_from_graph_borrows_arrays(self, ba_graph):
+        dyn = DynamicGraph.from_graph(ba_graph)
+        assert dyn.indptr is ba_graph.indptr
+        assert dyn.indices is ba_graph.indices
+
+    def test_inserts_never_write_old_arrays(self):
+        dyn = DynamicGraph.from_graph(path_graph(12))
+        before = dyn.snapshot()
+        kept = (before.indptr.copy(), before.indices.copy())
+        dyn.insert_edges([(0, 10), (5, 7), (7, 10)])
+        assert np.array_equal(before.indptr, kept[0])
+        assert np.array_equal(before.indices, kept[1])
+        assert dyn.snapshot().n_edges == before.n_edges + 6
+
+    def test_batch_into_one_row_gap_stays_sorted(self):
+        dyn = DynamicGraph.from_graph(Graph.from_edges([(0, 1), (0, 9)], 10))
+        dyn.insert_edges([(0, 7), (0, 3), (5, 0), (2, 8)])
+        assert dyn.neighbors(0).tolist() == [1, 3, 5, 7, 9]
+        assert dyn.neighbors(8).tolist() == [2]
+        assert dyn.snapshot() == Graph.from_edges(
+            [(0, 1), (0, 9), (0, 7), (0, 3), (5, 0), (2, 8)], 10
+        )
+
+    def test_rejected_batch_changes_nothing(self, ba_graph):
+        dyn = DynamicGraph.from_graph(ba_graph)
+        u, v = 0, int(ba_graph.neighbors(0)[0])
+        with pytest.raises(GraphError):
+            dyn.insert_edges([(1, 118), (u, v)])
+        assert dyn.indices is ba_graph.indices
+        assert dyn.n_edges == ba_graph.n_edges // 2
+
+    def test_neighbors_of_gathers_rows(self, ba_graph):
+        dyn = DynamicGraph.from_graph(ba_graph)
+        nodes = np.array([5, 0, 5, 119])
+        expect = np.concatenate([ba_graph.neighbors(u) for u in nodes])
+        assert np.array_equal(dyn.neighbors_of(nodes), expect)
+        assert len(dyn.neighbors_of(np.empty(0, dtype=np.int64))) == 0
+
+
 class TestIncrementalPPR:
+    def test_bitwise_equal_to_reference(self):
+        # The CSR-array graph and the vectorised queue seeding must leave
+        # every push in the order the per-node lists gave.
+        base = barabasi_albert_graph(300, 3, seed=1)
+        dyn = DynamicGraph.from_graph(base)
+        ref_dyn = reference.DynamicGraph.from_graph(base)
+        inc = IncrementalPPR(dyn, 0, alpha=0.15, epsilon=1e-6)
+        ref = reference.IncrementalPPR(ref_dyn, 0, alpha=0.15, epsilon=1e-6)
+        rng = np.random.default_rng(19)
+        inserted = 0
+        while inserted < 50:
+            u, v = (int(w) for w in rng.integers(0, base.n_nodes, 2))
+            if u == v or dyn.has_edge(u, v):
+                continue
+            inc.insert_edge(u, v)
+            ref.insert_edge(u, v)
+            inserted += 1
+            assert np.array_equal(inc.estimate, ref.estimate)
+            assert np.array_equal(inc.residual, ref.residual)
+            assert inc.last_push_count == ref.last_push_count
+        assert dyn.snapshot() == ref_dyn.snapshot()
+
     def test_initial_matches_static_push(self, ba_graph):
         dyn = DynamicGraph.from_graph(ba_graph)
         inc = IncrementalPPR(dyn, 0, alpha=0.2, epsilon=1e-6)

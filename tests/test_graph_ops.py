@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GraphError
 from repro.graph import (
     laplacian_matrix,
     normalized_adjacency,
@@ -108,3 +108,24 @@ class TestPropagationMatrix:
     def test_unknown_scheme(self, triangle):
         with pytest.raises(ConfigError):
             propagation_matrix(triangle, scheme="nope")
+
+
+class TestRowRestriction:
+    @pytest.mark.parametrize("build", [
+        lambda g, rows: propagation_matrix(g, "gcn", rows=rows),
+        lambda g, rows: propagation_matrix(g, "lazy", alpha=0.3, rows=rows),
+        lambda g, rows: normalized_adjacency(g, "col", False, rows=rows),
+        lambda g, rows: laplacian_matrix(g, "comb", rows=rows),
+    ])
+    def test_kept_rows_are_the_full_rows(self, ba_graph, build):
+        rows = np.array([7, 3, 3, 119, 0])  # unsorted, repeated: a set
+        full, part = build(ba_graph, None), build(ba_graph, rows)
+        kept = np.unique(rows)
+        assert np.array_equal(part[kept].indices, full[kept].indices)
+        assert np.array_equal(part[kept].data, full[kept].data)
+        assert part.nnz == full[kept].nnz
+
+    @pytest.mark.parametrize("rows", [[-1, 2], [0, 120]])
+    def test_rows_out_of_range_rejected(self, ba_graph, rows):
+        with pytest.raises(GraphError):
+            propagation_matrix(ba_graph, "gcn", rows=np.array(rows))

@@ -13,7 +13,7 @@ from repro.graph.dynamic import DynamicGraph
 from repro.graph.traversal import k_hop_neighborhood
 from repro.models import SGC, NodeAdaptiveInference
 from repro.models.sgc import hop_features
-from repro.perf import PropagationEngine
+from repro.perf import OperatorCache, PropagationEngine
 from repro.serving import (
     BatchingQueue,
     CachedPrediction,
@@ -751,6 +751,26 @@ class TestServingEngine:
         assert report.edges == (e1, e2)
         record = engine.registry.get("sgc")
         assert record.updates_applied == 2
+        fresh = PropagationEngine().propagate(
+            record.graph, record.graph.x, record.k_hops
+        )
+        for depth in range(record.k_hops + 1):
+            assert np.array_equal(record.stack[depth], fresh[depth])
+
+    def test_updates_leave_the_operator_cache_alone(self, served_setup):
+        """A write builds only its dirty operator rows: five updates add no
+        entry and no byte to the registry engine's operator cache."""
+        graph, model = served_setup
+        cache = OperatorCache()
+        registry = ModelRegistry(PropagationEngine(cache=cache))
+        engine = ServingEngine(registry=registry)
+        engine.register("sgc", model, graph)
+        entries, nbytes = len(cache), cache.nbytes
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            engine.apply_update(*fresh_edge(engine.registry.get("sgc").graph, rng))
+        assert (len(cache), cache.nbytes) == (entries, nbytes)
+        record = engine.registry.get("sgc")
         fresh = PropagationEngine().propagate(
             record.graph, record.graph.x, record.k_hops
         )
