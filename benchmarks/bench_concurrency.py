@@ -18,6 +18,13 @@ Claims measured here:
    store-hit cost of the default (``threadsafe=False``) and the
    ``threadsafe=True`` engine is reported, ungated; the two are timed
    interleaved so machine drift hits both alike.
+3. **Reads beside writes.** Reader threads send requests through a
+   runtime while a writer streams edge inserts into the same model.
+   Every request is accounted for (served + shed + errored = sent), the
+   answers given after the last write equal a fresh propagate of the
+   final graph, and a read completes while a writer is parked inside
+   its compute phase (Event-gated, so the overlap is a fact, not a
+   timing). Counts and equality only; nothing here is a wall ratio.
 
 Run directly (``python benchmarks/bench_concurrency.py [--smoke]``) or
 through pytest; ``--smoke`` shrinks the request volume for CI.
@@ -25,14 +32,23 @@ through pytest; ``--smoke`` shrinks the request volume for CI.
 
 import argparse
 import sys
+import threading
 import time
 
 import numpy as np
 from _common import emit, emit_json
 
+import repro.serving.engine as engine_module
 from repro.bench import Table, format_seconds
 from repro.datasets import contextual_sbm
-from repro.serving import BatchingQueue, ServingEngine, ServingRuntime
+from repro.errors import LoadSheddingError, ReproError
+from repro.models import SGC
+from repro.serving import (
+    BatchingQueue,
+    PredictRequest,
+    ServingEngine,
+    ServingRuntime,
+)
 from repro.tensor.autograd import Tensor
 
 SPEEDUP_BOUND = 2.0
@@ -179,19 +195,126 @@ def _store_hit_measurements(repeat: int, inner: int) -> dict:
     }
 
 
+def _fresh_edges(graph, count: int, seed: int) -> list[tuple[int, int]]:
+    """``count`` distinct node pairs absent from ``graph``."""
+    rng = np.random.default_rng(seed)
+    seen: set[tuple[int, int]] = set()
+    while len(seen) < count:
+        u, v = sorted(int(x) for x in rng.integers(0, graph.n_nodes, size=2))
+        if u != v and not graph.has_edge(u, v):
+            seen.add((u, v))
+    return sorted(seen)
+
+
+def _overlap_holds(graph, model, edge: tuple[int, int]) -> bool:
+    """Whether a micro-batch completes while a writer is parked inside its
+    compute phase (the dirty operator-row build) on the same model."""
+    engine = ServingEngine(early_exit=False, threadsafe=True, store=None)
+    key = engine.register("sgc", model, graph)
+    parked, release = threading.Event(), threading.Event()
+    build = engine_module.row_operator
+
+    def parked_build(*args, **kwargs):
+        parked.set()
+        release.wait(60.0)
+        return build(*args, **kwargs)
+
+    batch = [PredictRequest(0, edge[0], key, engine._clock())]
+    writer = threading.Thread(target=engine.apply_update, args=edge)
+    reader = threading.Thread(target=engine.run_batch, args=(batch,))
+    engine_module.row_operator = parked_build
+    try:
+        writer.start()
+        overlapped = parked.wait(60.0)
+        reader.start()
+        reader.join(10.0)
+        overlapped = overlapped and not reader.is_alive()
+    finally:
+        release.set()
+        engine_module.row_operator = build
+        writer.join(60.0)
+        if reader.ident is not None:
+            reader.join(60.0)
+    return overlapped
+
+
+def _reads_beside_writes(
+    n_nodes: int, n_readers: int, n_requests: int, n_updates: int
+) -> dict:
+    """Claim 3: request accounting and exactness with a concurrent writer."""
+    graph = _make_graph(n_nodes, seed=3)
+    model = SGC(N_FEATURES, N_CLASSES, k_hops=2, seed=0)
+    edges = _fresh_edges(graph, n_updates + 1, seed=4)
+    counts = {"served": 0, "shed": 0, "errored": 0}
+    count_lock = threading.Lock()
+    start = threading.Barrier(n_readers + 1)
+    rt = ServingRuntime(n_workers=2, early_exit=False)
+    try:
+        rt.register("sgc", model, graph)
+
+        def read(tid: int) -> None:
+            rng = np.random.default_rng(100 + tid)
+            start.wait()
+            for node in rng.integers(0, n_nodes, size=n_requests).tolist():
+                try:
+                    ok = rt.predict(node, timeout_s=60.0).ok
+                    outcome = "served" if ok else "errored"
+                except LoadSheddingError:
+                    outcome = "shed"
+                except ReproError:  # a timeout or an open breaker
+                    outcome = "errored"
+                with count_lock:
+                    counts[outcome] += 1
+
+        def write() -> None:
+            start.wait()
+            for u, v in edges[:n_updates]:
+                rt.apply_update(u, v)
+
+        threads = [
+            threading.Thread(target=read, args=(t,)) for t in range(n_readers)
+        ] + [threading.Thread(target=write)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(300.0)
+        after = rt.predict_many(np.arange(n_nodes), timeout_s=60.0)
+        final_graph = rt.engine.registry.get("sgc").graph
+    finally:
+        rt.close()
+    oracle = ServingEngine(early_exit=False, store=None)
+    oracle.register("sgc", model, final_graph)
+    expected = oracle.predict_many(np.arange(n_nodes))
+    return {
+        "rw_sent": n_readers * n_requests,
+        "rw_updates": n_updates,
+        **{f"rw_{name}": value for name, value in counts.items()},
+        "rw_after_write_match": all(
+            a.ok and a.prediction == e.prediction
+            for a, e in zip(after, expected)
+        ),
+        "rw_edges_applied": final_graph.n_edges == graph.n_edges + 2 * n_updates,
+        "rw_overlap": _overlap_holds(graph, model, edges[-1]),
+    }
+
+
 def run(smoke: bool = False) -> dict:
     if smoke:
         n_requests, delay_s, n_workers, repeat = 160, 0.004, 4, 2
         hit_repeat, hit_inner = 5, 2
+        rw_nodes, rw_readers, rw_requests, rw_updates = 400, 4, 100, 10
     else:
         n_requests, delay_s, n_workers, repeat = 480, 0.005, 4, 3
         hit_repeat, hit_inner = 9, 3
+        rw_nodes, rw_readers, rw_requests, rw_updates = 2000, 8, 250, 40
 
     scaling = _scaling_measurements(n_requests, delay_s, n_workers, repeat)
     hits = _store_hit_measurements(hit_repeat, hit_inner)
+    rw = _reads_beside_writes(rw_nodes, rw_readers, rw_requests, rw_updates)
 
     table = Table(
-        "E31: concurrent serving runtime (scaling + store-hit path)",
+        "E31: concurrent serving runtime (scaling, store-hit path, "
+        "reads beside writes)",
         ["metric", "value"],
     )
     table.add_row("requests / batch delay",
@@ -210,6 +333,14 @@ def run(smoke: bool = False) -> dict:
                   format_seconds(hits["default_per_request_s"]))
     table.add_row("store-hit path, threadsafe engine (reported)",
                   format_seconds(hits["threadsafe_per_request_s"]))
+    table.add_row("reads beside writes: sent / edge inserts",
+                  f"{rw['rw_sent']} / {rw['rw_updates']}")
+    table.add_row("served + shed + errored (bound: = sent)",
+                  f"{rw['rw_served']} + {rw['rw_shed']} + {rw['rw_errored']}")
+    table.add_row("answers after the last write = fresh propagate",
+                  rw["rw_after_write_match"])
+    table.add_row("read completes while a writer computes",
+                  rw["rw_overlap"])
     emit(table, "E31_concurrency")
 
     payload = {
@@ -218,6 +349,7 @@ def run(smoke: bool = False) -> dict:
         "speedup_bound": SPEEDUP_BOUND,
         **scaling,
         **hits,
+        **rw,
     }
     emit_json("E31_concurrency", payload, metrics=True)
 
@@ -235,6 +367,17 @@ def run(smoke: bool = False) -> dict:
     assert hits["queue_submit_calls"] == 0, (
         f"a store hit must never reach the batching queue: "
         f"{hits['queue_submit_calls']} queue.submit calls"
+    )
+    accounted = rw["rw_served"] + rw["rw_shed"] + rw["rw_errored"]
+    assert accounted == rw["rw_sent"], (
+        f"served + shed + errored = {accounted}, sent {rw['rw_sent']}"
+    )
+    assert rw["rw_edges_applied"], "not every edge insert was applied"
+    assert rw["rw_after_write_match"], (
+        "answers after the last write differ from a fresh propagate"
+    )
+    assert rw["rw_overlap"], (
+        "a read waited on a writer parked in its compute phase"
     )
     return payload
 
@@ -266,7 +409,11 @@ def main(argv=None) -> int:
         f"{payload['burst_size']} requests, "
         f"{payload['queue_submit_calls']} queue.submit; "
         f"{payload['default_per_request_s'] * 1e6:.2f} us/request default, "
-        f"{payload['threadsafe_per_request_s'] * 1e6:.2f} us/request threadsafe"
+        f"{payload['threadsafe_per_request_s'] * 1e6:.2f} us/request threadsafe; "
+        f"reads beside {payload['rw_updates']} writes: "
+        f"{payload['rw_served']} served, {payload['rw_shed']} shed, "
+        f"{payload['rw_errored']} errored of {payload['rw_sent']} sent, "
+        f"after-write answers exact, read overlapped a parked writer"
     )
     return 0
 

@@ -15,15 +15,15 @@ answered immediately with ``status="shed"`` rather than queued into an
 unbounded tail. Every completed request's queue-to-answer latency lands in
 a :class:`repro.utils.timer.LatencyHistogram` (p50/p95/p99).
 
-Streaming updates go through :meth:`ServingEngine.apply_update`: the edge
-is inserted into the model's :class:`~repro.graph.dynamic.DynamicGraph`,
-only the dirty K-hop rows of the hop stack are recomputed
-(:mod:`repro.serving.invalidation`), and exactly those nodes are evicted
-from the store.
+Streaming updates go through :meth:`ServingEngine.apply_update`: only the
+dirty K-hop rows of the hop stack are recomputed
+(:mod:`repro.serving.invalidation`), beside the readers, then committed in
+one short write, and exactly those nodes are evicted from the store.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from dataclasses import dataclass
@@ -34,13 +34,14 @@ import numpy as np
 from repro import obs
 from repro.errors import LoadSheddingError, ServingError, TransientError
 from repro.graph.core import Graph
+from repro.graph.dynamic import DynamicGraph
 from repro.models.nai import confidence_gated_predict
 from repro.obs import OBS
 from repro.perf.arena import get_default_arena
 from repro.perf.propagation import row_operator
 from repro.resilience.faults import FAULTS
 from repro.serving.batching import BatchingQueue, PredictRequest
-from repro.serving.invalidation import UpdateReport, dirty_frontiers, patch_stack
+from repro.serving.invalidation import UpdateReport, dirty_frontiers, patched_rows
 from repro.serving.registry import ModelRegistry, ServedModel
 from repro.serving.store import EmbeddingStore
 from repro.tensor.autograd import Tensor, no_grad
@@ -48,6 +49,15 @@ from repro.utils.timer import LatencyHistogram
 from repro.utils.validation import check_probability
 
 _LOG = obs.get_logger("repro.serving.engine")
+
+
+def node_index(value) -> int:
+    """``value`` as an ``int`` node id (:func:`operator.index`); a float or
+    any other non-integral value is a :class:`ServingError`, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ServingError(f"node ids must be integers, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -283,7 +293,7 @@ class ServingEngine:
         slots: list[ServeResult | int] = []
         by_id: dict[int, ServeResult] = {}
         for node_id in node_ids:
-            node_id = int(node_id)
+            node_id = node_index(node_id)
             if not 0 <= node_id < n:
                 raise ServingError(f"node {node_id} outside [0, {n})")
             t0 = self._clock()
@@ -365,28 +375,25 @@ class ServingEngine:
         )
         try:
             with obs.span("serving.gather", rows=len(unique), hops=record.k_hops):
-                # The gather copies the rows into the rented buffer, so only
-                # the gather itself needs to be consistent with concurrent
-                # stack patches.
-                with record.lock.reader:
-                    hop_rows = record.hop_rows(unique, out=gather_buf)
-                    stamp = record.updates_applied
+                # Read before the gather: if it still reads the same after
+                # the store write below, no update committed in between.
+                seq = record.seq
+                hop_rows = record.hop_rows(unique, out=gather_buf)
             predictions, hops_used = self._infer(record, hop_rows, unique)
         finally:
             arena.release(gather_buf)
         if self.store is not None:
-            # An update that landed while this batch ran inference may
-            # already have invalidated these rows; writing them now would
-            # resurrect stale answers, so cache only if no update did.
-            with record.lock.reader:
-                if record.updates_applied == stamp:
-                    self.store.put_many(
-                        record.namespace,
-                        (
-                            (int(node), int(predictions[i]), int(hops_used[i]))
-                            for i, node in enumerate(unique)
-                        ),
-                    )
+            self.store.put_many(
+                record.namespace,
+                (
+                    (int(node), int(predictions[i]), int(hops_used[i]))
+                    for i, node in enumerate(unique)
+                ),
+            )
+            # An update committed since the gather may already have dropped
+            # these rows: drop them again rather than resurrect stale answers.
+            if record.seq != seq:
+                self.store.invalidate(record.namespace, unique)
         now = self._clock()
         recording = OBS.enabled
         latencies: list[float] = []
@@ -462,37 +469,44 @@ class ServingEngine:
         edges: Iterable[tuple[int, int]],
         model: str | None = None,
     ) -> UpdateReport:
-        """Apply a batch of edge insertions with one shared patch pass."""
+        """Apply a batch of edge insertions with one shared patch pass.
+
+        Under the model's writer mutex, the new rows are computed beside
+        the readers on a private copy of the adjacency (a failure there
+        changes nothing), then published by ``record.commit``; the store
+        is invalidated after the commit.
+        """
         record = self._resolve(model)
-        edges = [(int(u), int(v)) for u, v in edges]
+        try:
+            edges = [(node_index(u), node_index(v)) for u, v in edges]
+        except (TypeError, ValueError):
+            raise ServingError("edges must be (u, v) pairs of node ids") from None
         if not edges:
             raise ServingError("apply_updates needs at least one edge")
         with obs.span(
             "serving.update", model=record.key, edges=len(edges)
         ) as span:
-            # Exclusive over the whole mutate sequence: the dynamic
-            # adjacency, the in-place stack patch, and the graph swap
-            # must appear atomic to concurrently gathering workers.
-            with record.lock.writer:
-                dynamic = record.ensure_dynamic()
+            with record.writer:
+                # O(1): borrows the arrays, which inserts never write.
+                dynamic = DynamicGraph.from_graph(record.graph)
                 dynamic.insert_edges(edges)
                 seeds = [node for edge in edges for node in edge]
                 dirty = dirty_frontiers(dynamic, seeds, record.k_hops)
                 new_graph = dynamic.snapshot()
-                rows = 0
+                new_rows = []
                 if dirty:
-                    # patch_stack reads only rows D_j of the operator, and
+                    # patched_rows reads only rows D_j of the operator, and
                     # D_1 ⊆ … ⊆ D_K. dtype-matched: a float32 stack is
                     # patched with float32 products (no silent upcast).
-                    operator = row_operator(
+                    rows_op = row_operator(
                         new_graph, dirty[-1], record.kind, record.alpha,
                         dtype=record.dtype,
                     )
                     with obs.span("serving.patch_stack", depths=len(dirty)):
-                        rows = patch_stack(record.stack, operator, dirty)
-                record.graph = new_graph
-                record.rows_recomputed += rows
-                record.updates_applied += len(edges)
+                        new_rows = patched_rows(record.stack, rows_op, dirty)
+                rows = record.commit(
+                    dirty, new_rows, new_graph, dynamic, len(edges)
+                )
             invalidated = 0
             if self.store is not None and dirty:
                 invalidated = self.store.invalidate(record.namespace, dirty[-1])

@@ -19,6 +19,10 @@ dirty-set discipline the serving engine's recompute counters expose.
 Since :math:`D_1 \\subseteq \\cdots \\subseteq D_K`, the patch reads only rows
 :math:`D_K` of :math:`P'`, so the serving engine builds just those rows
 (:func:`repro.perf.row_operator`) instead of the whole new operator.
+
+A patch is :func:`patched_rows` (compute, the stack untouched) then
+:func:`write_rows`; the serving engine runs the first beside its readers
+and the second inside a short commit (``ServedModel.commit``).
 """
 
 from __future__ import annotations
@@ -99,6 +103,50 @@ def dirty_frontiers(
     return levels
 
 
+def patched_rows(
+    stack: list[np.ndarray],
+    operator: sp.spmatrix,
+    dirty_per_depth: list[np.ndarray],
+) -> list[np.ndarray]:
+    """Every depth's new dirty rows, computed without writing ``stack``.
+
+    Entry ``j-1`` holds the new rows ``dirty_per_depth[j-1]`` of depth
+    ``j``, re-derived via :func:`repro.perf.rows_spmm` from depth ``j-1``
+    as patched: one ``(n, d)`` scratch buffer, reused across depths. Only
+    rows ``dirty_per_depth[-1]`` of ``operator`` are read, so a
+    row-restricted operator (:func:`repro.perf.row_operator`) serves as
+    well as the full one. Exact: untouched rows are bit-identical to a
+    full recompute by the locality argument in the module docstring.
+    """
+    if len(dirty_per_depth) != len(stack) - 1:
+        raise ConfigError(
+            f"need one dirty set per propagation depth "
+            f"({len(stack) - 1}), got {len(dirty_per_depth)}"
+        )
+    new_rows: list[np.ndarray] = []
+    previous, scratch = stack[0], None
+    for depth, rows in enumerate(dirty_per_depth, start=1):
+        new_rows.append(rows_spmm(operator, rows, previous))
+        if depth < len(dirty_per_depth):
+            if scratch is None:
+                scratch = np.empty_like(stack[depth])
+            np.copyto(scratch, stack[depth])
+            scratch[rows] = new_rows[-1]
+            previous = scratch
+    return new_rows
+
+
+def write_rows(
+    stack: list[np.ndarray],
+    dirty_per_depth: list[np.ndarray],
+    new_rows: list[np.ndarray],
+) -> int:
+    """Write :func:`patched_rows`' output into ``stack``; returns its rows."""
+    for depth, (rows, new) in enumerate(zip(dirty_per_depth, new_rows), 1):
+        stack[depth][rows] = new
+    return sum(len(new) for new in new_rows)
+
+
 def patch_stack(
     stack: list[np.ndarray],
     operator: sp.spmatrix,
@@ -106,25 +154,8 @@ def patch_stack(
 ) -> int:
     """Patch a hop stack in place for the given per-depth dirty rows.
 
-    ``stack[0]`` (raw features) is never touched; for each deeper level the
-    dirty rows are re-derived from the already-patched previous level via
-    :func:`repro.perf.rows_spmm`. Only rows ``dirty_per_depth[-1]`` of
-    ``operator`` are read, so a row-restricted operator
-    (:func:`repro.perf.row_operator`) serves as well as the full one.
-    Returns the number of rows recomputed.
-    The result is exact: untouched rows are bit-identical to a full
-    recompute by the locality argument in the module docstring.
+    :func:`patched_rows` then :func:`write_rows`; ``stack[0]`` (raw
+    features) is never touched. Returns the number of rows recomputed.
     """
-    if len(dirty_per_depth) != len(stack) - 1:
-        raise ConfigError(
-            f"need one dirty set per propagation depth "
-            f"({len(stack) - 1}), got {len(dirty_per_depth)}"
-        )
-    rows_recomputed = 0
-    for depth, rows in enumerate(dirty_per_depth, start=1):
-        if len(rows) == 0:
-            continue
-        rows = np.asarray(rows, dtype=np.int64)
-        stack[depth][rows] = rows_spmm(operator, rows, stack[depth - 1])
-        rows_recomputed += len(rows)
-    return rows_recomputed
+    new_rows = patched_rows(stack, operator, dirty_per_depth)
+    return write_rows(stack, dirty_per_depth, new_rows)

@@ -8,11 +8,16 @@ node is then a row gather + MLP forward; no sparse work on the request
 path. The stack is kept as private *writable* copies so incremental
 updates (:mod:`repro.serving.invalidation`) can patch dirty rows in place
 without corrupting the engine's shared read-only cache.
+
+Readers never wait on a writer: :meth:`ServedModel.hop_rows` retries its
+gather until the record's sequence number reads the same even value
+around it, and only writers take :attr:`ServedModel.writer`.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import Iterable
 
 import numpy as np
@@ -21,7 +26,7 @@ from repro.errors import ConfigError, ServingError
 from repro.graph.core import Graph
 from repro.graph.dynamic import DynamicGraph
 from repro.perf.propagation import PropagationEngine, get_default_engine
-from repro.utils.concurrency import RWLock
+from repro.serving.invalidation import write_rows
 
 
 class ServedModel:
@@ -63,10 +68,10 @@ class ServedModel:
         self.dynamic: DynamicGraph | None = None
         self.rows_recomputed = 0
         self.updates_applied = 0
-        # Readers–writer lock over the mutable hop stack: micro-batch
-        # workers gather rows concurrently (with lock.reader) while
-        # incremental updates patch rows exclusively (with lock.writer).
-        self.lock = RWLock()
+        #: Even while the stack is stable, odd while :meth:`commit` writes.
+        self.seq = 0
+        #: Serialises updates; readers never take it.
+        self.writer = threading.Lock()
 
     @property
     def key(self) -> str:
@@ -90,9 +95,35 @@ class ServedModel:
         (shape ``(K+1, len(nodes), d)``, e.g. rented from a
         :class:`~repro.perf.arena.BufferArena`) receives the rows when
         given, and the returned per-depth arrays are views of it.
+
+        All rows come from one published version: the gather is retried
+        until :attr:`seq` reads the same even value before and after it.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        return list(np.take(self.stacked, nodes, axis=1, out=out))
+        while True:
+            seq = self.seq
+            if seq % 2 == 0:
+                rows = np.take(self.stacked, nodes, axis=1, out=out)
+                if self.seq == seq:
+                    return list(rows)
+            time.sleep(0)  # let the committing writer run
+
+    def commit(
+        self, dirty: list[np.ndarray], new_rows: list[np.ndarray],
+        graph: Graph, dynamic: DynamicGraph, n_edges: int,
+    ) -> int:
+        """Publish one update's precomputed rows and graph, with :attr:`seq`
+        odd only while they are written; the caller holds :attr:`writer`.
+        Returns the number of rows written."""
+        self.seq += 1
+        try:
+            rows = write_rows(self.stack, dirty, new_rows)
+            self.graph, self.dynamic = graph, dynamic
+            self.rows_recomputed += rows
+            self.updates_applied += n_edges
+        finally:
+            self.seq += 1
+        return rows
 
     def ensure_dynamic(self) -> DynamicGraph:
         """The mutable adjacency behind this model, created on first update

@@ -44,7 +44,7 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigError, LoadSheddingError, ServingError
 from repro.graph.core import Graph
-from repro.serving.engine import ServeResult
+from repro.serving.engine import ServeResult, node_index
 from repro.serving.runtime import ServingRuntime
 
 _LOG = obs.get_logger("repro.serving.router")
@@ -300,7 +300,7 @@ class ShardRouter:
         """
         if self._closed:
             raise ServingError("router is closed; no new requests accepted")
-        node_id = int(node_id)
+        node_id = node_index(node_id)
         part = self.shard_of(node_id)
         local = int(self._local_of[node_id])
         replica = self._route(part)
@@ -339,7 +339,7 @@ class ShardRouter:
         """
         results: list[ServeResult] = []
         for node_id in node_ids:
-            node_id = int(node_id)
+            node_id = node_index(node_id)
             if self._closed:
                 raise ServingError(
                     "router is closed; no new requests accepted"

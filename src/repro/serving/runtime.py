@@ -59,7 +59,7 @@ from repro.errors import (
 from repro.resilience.breaker import CLOSED, STATE_CODES, CircuitBreaker
 from repro.resilience.retry import PERMANENT, RetryPolicy, classify_error
 from repro.serving.batching import PredictRequest
-from repro.serving.engine import ServeResult, ServingEngine
+from repro.serving.engine import ServeResult, ServingEngine, node_index
 from repro.serving.registry import ServedModel
 from repro.utils.validation import check_int_range
 
@@ -298,6 +298,7 @@ class ServingRuntime:
         | ``("degraded", result)`` | ``("queued", future)``. Runs on the
         caller's thread; raises :class:`~repro.errors.CircuitOpenError`
         when the model's breaker is open and no stale row is resident."""
+        node_id = node_index(node_id)
         n = record.graph.n_nodes
         if not 0 <= node_id < n:
             raise ServingError(f"node {node_id} outside [0, {n})")
@@ -371,7 +372,7 @@ class ServingRuntime:
         :class:`~repro.errors.CircuitOpenError` otherwise.
         """
         record = self.engine._resolve(model)
-        kind, payload = self._submit(record, int(node_id))
+        kind, payload = self._submit(record, node_id)
         if kind == "queued":
             return payload
         future: Future = Future()
@@ -406,7 +407,7 @@ class ServingRuntime:
         deadline = (
             None if timeout is None else self.engine._clock() + timeout
         )
-        kind, payload = self._submit(record, int(node_id), deadline=deadline)
+        kind, payload = self._submit(record, node_id, deadline=deadline)
         if kind in ("hit", "degraded"):
             return payload
         if kind == "shed":
@@ -441,7 +442,7 @@ class ServingRuntime:
         )
         slots: list[ServeResult | Future] = [
             payload for payload in (
-                self._submit(record, int(node_id), deadline=deadline)[1]
+                self._submit(record, node_id, deadline=deadline)[1]
                 for node_id in node_ids
             )
         ]

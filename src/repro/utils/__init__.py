@@ -1,7 +1,7 @@
 """Shared utilities: RNG handling, timers, concurrency primitives, and
 argument validation."""
 
-from repro.utils.concurrency import NULL_LOCK, NullLock, RWLock, make_lock
+from repro.utils.concurrency import NULL_LOCK, NullLock, make_lock
 from repro.utils.rng import as_rng
 from repro.utils.timer import LatencyHistogram, Timer
 from repro.utils.validation import (
@@ -16,7 +16,6 @@ __all__ = [
     "LatencyHistogram",
     "NullLock",
     "NULL_LOCK",
-    "RWLock",
     "make_lock",
     "check_fraction",
     "check_positive",

@@ -18,10 +18,10 @@ from a batcher thread plus a worker pool. The rule is one sentence:
   per-request calls branch on ``if self._lock is None``, and cold paths
   write ``with self._lock or NULL_LOCK:`` (:data:`NULL_LOCK` is a shared
   no-op context manager).
-* :class:`RWLock` is a writer-preferring readers–writer lock for state
-  with many concurrent readers and rare exclusive writers — the served
-  hop stacks, which micro-batch workers gather from while streaming
-  edge updates patch rows in place.
+* Served hop stacks take no lock on the read side: a gather retries
+  until the model's sequence number (odd while an update writes its
+  rows) reads the same even value around it; only writers take the
+  model's mutex (:class:`repro.serving.registry.ServedModel`).
 """
 
 from __future__ import annotations
@@ -66,82 +66,3 @@ def make_lock(threadsafe: bool = True):
     requires hot paths to *branch*, not to enter a dummy lock.
     """
     return threading.RLock() if threadsafe else None
-
-
-class _Guard:
-    """Reusable context manager binding an acquire/release pair.
-
-    Stateless (the lock itself holds all state), so one guard instance
-    is safely shared across threads and re-entered concurrently.
-    """
-
-    __slots__ = ("_acquire", "_release")
-
-    def __init__(self, acquire, release) -> None:
-        self._acquire = acquire
-        self._release = release
-
-    def __enter__(self) -> "_Guard":
-        self._acquire()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._release()
-        return False
-
-
-class RWLock:
-    """Writer-preferring readers–writer lock (not reentrant).
-
-    Any number of readers may hold the lock together; a writer holds it
-    exclusively. Once a writer is waiting, new readers queue behind it,
-    so a steady read stream cannot starve updates.
-
-    Use the shared :attr:`reader` / :attr:`writer` guards::
-
-        with lock.reader:   # concurrent with other readers
-            rows = stack[nodes]
-        with lock.writer:   # exclusive
-            patch_stack(...)
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-        self.reader = _Guard(self.acquire_read, self.release_read)
-        self.writer = _Guard(self.acquire_write, self.release_write)
-
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-
-    def release_write(self) -> None:
-        with self._cond:
-            self._writer_active = False
-            self._cond.notify_all()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RWLock(readers={self._readers}, writer={self._writer_active}, "
-            f"writers_waiting={self._writers_waiting})"
-        )

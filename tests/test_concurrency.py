@@ -1,7 +1,8 @@
 """Concurrency hammer tests: the ServingRuntime under thread pressure and
 the thread-safety contract of every shared-mutable component it touches
 (BatchingQueue, FeatureStore, OperatorCache, LatencyHistogram, obs
-metrics/tracer, RWLock).
+metrics/tracer), and the served hop stack's sequence-number protocol:
+readers never wait on a writer and never see a half-written update.
 
 The hammer pattern: N producer threads firing M requests each against one
 runtime while an updater thread streams edge insertions, then a full
@@ -18,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.serving.engine as engine_module
 from repro.datasets import contextual_sbm
 from repro.errors import (
     ConfigError,
@@ -26,20 +28,23 @@ from repro.errors import (
     ServingTimeoutError,
     TransientError,
 )
+from repro.graph.dynamic import DynamicGraph
 from repro.models import SGC
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.perf import OperatorCache
+from repro.perf import OperatorCache, PropagationEngine, row_operator
 from repro.serving import (
     BatchingQueue,
     EmbeddingStore,
     PredictRequest,
     ServingEngine,
     ServingRuntime,
+    dirty_frontiers,
+    patch_stack,
 )
 from repro.storage import FeatureStore
 from repro.tensor.autograd import Tensor
-from repro.utils import LatencyHistogram, RWLock
+from repro.utils import LatencyHistogram
 
 
 @pytest.fixture
@@ -107,7 +112,8 @@ class TestServingRuntimeHammer:
     N_REQUESTS = 250
     N_UPDATES = 40
 
-    def test_hammer_with_midstream_updates(self):
+    @pytest.mark.parametrize("n_writers", [1, 2])
+    def test_hammer_with_midstream_updates(self, n_writers):
         graph = _serving_graph()
         n = graph.n_nodes
         model = SGC(graph.n_features, graph.n_classes, k_hops=2, seed=3)
@@ -118,7 +124,7 @@ class TestServingRuntimeHammer:
         total = self.N_THREADS * self.N_REQUESTS
         results, typed_errors = [], []
         collect = threading.Lock()
-        start = threading.Barrier(self.N_THREADS + 1)
+        start = threading.Barrier(self.N_THREADS + n_writers)
 
         def producer(tid):
             rng = np.random.default_rng(1000 + tid)
@@ -135,9 +141,9 @@ class TestServingRuntimeHammer:
                 results.extend(ok)
                 typed_errors.extend(bad)
 
-        def updater():
+        def updater(w):
             start.wait()
-            for u, v in edges:
+            for u, v in edges[w::n_writers]:
                 rt.apply_update(u, v)
                 time.sleep(0.002)
 
@@ -145,7 +151,10 @@ class TestServingRuntimeHammer:
             threading.Thread(target=producer, args=(t,))
             for t in range(self.N_THREADS)
         ]
-        threads.append(threading.Thread(target=updater))
+        threads.extend(
+            threading.Thread(target=updater, args=(w,))
+            for w in range(n_writers)
+        )
         for t in threads:
             t.start()
         for t in threads:
@@ -174,9 +183,15 @@ class TestServingRuntimeHammer:
         assert queue.batched_requests == queue.submitted  # none lost/dup
         assert queue.shed == 0 and len(queue) == 0
 
-        # The update stream really ran mid-flight and was fully applied.
+        # The update stream really ran mid-flight and was fully applied,
+        # and concurrent writers serialised into an exact stack.
         record = engine.registry.get("sgc")
         assert record.updates_applied == self.N_UPDATES
+        assert record.graph.n_edges == graph.n_edges + 2 * self.N_UPDATES
+        fresh = PropagationEngine().propagate(
+            record.graph, record.graph.x, record.k_hops
+        )
+        assert np.array_equal(record.stacked, np.stack(fresh))
 
         # Clean shutdown: drained, detached, inline path restored.
         rt_snap = rt.snapshot()
@@ -380,6 +395,121 @@ class TestOneRequestPath:
         assert served.prediction == fresh.predict(80).prediction
 
 
+def _flipping_edge(graph, model):
+    """An absent edge ``(u, v)`` whose insertion changes ``u``'s answer,
+    with ``u``'s answers before and after it."""
+    before = ServingEngine(early_exit=False, store=None)
+    before.register("m", model, graph)
+    for u, v in _fresh_edges(graph, 200, seed=5):
+        dynamic = DynamicGraph.from_graph(graph)
+        dynamic.insert_edge(u, v)
+        after = ServingEngine(early_exit=False, store=None)
+        after.register("m", model, dynamic.snapshot())
+        old, new = before.predict(u).prediction, after.predict(u).prediction
+        if old != new:
+            return (u, v), old, new
+    raise AssertionError("no edge changes an endpoint's answer")
+
+
+class TestReadersNeverWait:
+    def test_reader_completes_while_writer_computes(self, monkeypatch):
+        # Park the writer inside its compute phase (the operator-row
+        # build), then serve a batch on the same model: it must finish
+        # without waiting and answer from the stack as it was.
+        graph = _serving_graph()
+        model = SGC(graph.n_features, graph.n_classes, k_hops=2, seed=3)
+        edge, old, new = _flipping_edge(graph, model)
+        engine = ServingEngine(early_exit=False, threadsafe=True, store=None)
+        key = engine.register("sgc", model, graph)
+        parked, release = threading.Event(), threading.Event()
+        build = engine_module.row_operator
+
+        def parked_build(*args, **kwargs):
+            parked.set()
+            assert release.wait(30.0)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "row_operator", parked_build)
+        answers = []
+        batch = [PredictRequest(0, edge[0], key, engine._clock())]
+        writer = threading.Thread(target=engine.apply_update, args=edge)
+        reader = threading.Thread(
+            target=lambda: answers.append(engine.run_batch(batch))
+        )
+        writer.start()
+        try:
+            assert parked.wait(30.0)
+            reader.start()
+            reader.join(5.0)
+            finished_while_parked = not reader.is_alive()
+        finally:
+            release.set()
+            writer.join(30.0)
+        reader.join(30.0)
+        assert not writer.is_alive() and not reader.is_alive()
+        assert finished_while_parked, "the reader waited on the writer"
+        assert answers[0][0].prediction == old
+        assert engine.registry.get(key).updates_applied == 1
+        assert engine.predict(edge[0]).prediction == new
+
+    def test_readers_see_exactly_one_published_version(self, fast_switching):
+        # Readers gather every row while a writer applies a seeded insert
+        # stream. The published versions are replayed beforehand through
+        # patch_stack on a copy; every gathered block must be one of them,
+        # bitwise, never a mix of two.
+        graph = _serving_graph()
+        model = SGC(graph.n_features, graph.n_classes, k_hops=2, seed=3)
+        engine = ServingEngine(early_exit=False, threadsafe=True, store=None)
+        key = engine.register("sgc", model, graph)
+        record = engine.registry.get(key)
+        edges = _fresh_edges(graph, 60, seed=21)
+        stack = [layer.copy() for layer in record.stack]
+        dynamic = DynamicGraph.from_graph(graph)
+        versions = {record.stacked.tobytes(): 0}
+        for i, (u, v) in enumerate(edges, start=1):
+            dynamic.insert_edge(u, v)
+            dirty = dirty_frontiers(dynamic, [u, v], record.k_hops)
+            operator = row_operator(
+                dynamic.snapshot(), dirty[-1], record.kind, record.alpha,
+                dtype=record.dtype,
+            )
+            patch_stack(stack, operator, dirty)
+            versions[np.stack(stack).tobytes()] = i
+        assert len(versions) == len(edges) + 1  # every version distinct
+        nodes = np.arange(graph.n_nodes)
+        seen = [[] for _ in range(4)]
+        torn = []
+        done = threading.Event()
+
+        def reader(tid):
+            while not done.is_set():
+                block = np.stack(record.hop_rows(nodes))
+                version = versions.get(block.tobytes())
+                if version is None:
+                    torn.append(tid)
+                else:
+                    seen[tid].append(version)
+
+        readers = [
+            threading.Thread(target=reader, args=(t,)) for t in range(4)
+        ]
+        for t in readers:
+            t.start()
+        try:
+            for u, v in edges:
+                engine.apply_update(u, v)
+        finally:
+            done.set()
+            for t in readers:
+                t.join(30.0)
+        assert not any(t.is_alive() for t in readers)
+        assert torn == []
+        # A reader never goes back to an older version.
+        assert all(versions_read == sorted(versions_read) for versions_read in seen)
+        final = np.stack(record.hop_rows(nodes)).tobytes()
+        assert versions[final] == len(edges)
+
+
 def _run_threads(n, target):
     threads = [threading.Thread(target=target, args=(t,)) for t in range(n)]
     for t in threads:
@@ -488,32 +618,3 @@ class TestPrimitiveThreadSafety:
         ids = [r.request_id for batch in queue.drain() for r in batch]
         assert len(ids) == 8000 and len(set(ids)) == 8000
         assert queue.batched_requests == 8000 and len(queue) == 0
-
-    def test_rwlock_readers_never_observe_torn_writes(self, fast_switching):
-        lock = RWLock()
-        shared = [0, 0]
-        torn = []
-        stop = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                with lock.reader:
-                    a, b = shared[0], shared[1]
-                if a != b:
-                    torn.append((a, b))
-
-        def writer(_tid):
-            for _ in range(500):
-                with lock.writer:
-                    shared[0] += 1
-                    shared[1] += 1
-
-        readers = [threading.Thread(target=reader) for _ in range(4)]
-        for t in readers:
-            t.start()
-        _run_threads(2, writer)
-        stop.set()
-        for t in readers:
-            t.join()
-        assert torn == []
-        assert shared == [1000, 1000]

@@ -7,19 +7,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, GraphError, LoadSheddingError, ServingError
+from repro.editing import ldg_partition
+from repro.errors import (
+    ConfigError,
+    GraphError,
+    LoadSheddingError,
+    ServingError,
+    TransientError,
+)
 from repro.graph import Graph
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.traversal import k_hop_neighborhood
 from repro.models import SGC, NodeAdaptiveInference
 from repro.models.sgc import hop_features
 from repro.perf import OperatorCache, PropagationEngine
+from repro.resilience import FaultPlan, inject
 from repro.serving import (
     BatchingQueue,
     CachedPrediction,
     EmbeddingStore,
     ModelRegistry,
     ServingEngine,
+    ServingRuntime,
+    ShardRouter,
     dirty_frontiers,
     patch_stack,
 )
@@ -815,6 +825,35 @@ class TestServingEngine:
         for depth in range(record.k_hops + 1):
             assert np.array_equal(record.stack[depth], fresh[depth])
 
+    def test_failed_update_changes_nothing(self, served_setup):
+        """A fault before the commit (a transient error in the dirty-row
+        SpMM) leaves the graph, the adjacency, the stack and the store as
+        they were, so retrying the same update succeeds exactly."""
+        graph, model = served_setup
+        engine = ServingEngine()
+        engine.register("sgc", model, graph)
+        record = engine.registry.get("sgc")
+        engine.predict_many(np.arange(graph.n_nodes))  # warm the store
+        dynamic, published = record.ensure_dynamic(), record.graph
+        stack, stored = record.stacked.copy(), len(engine.store)
+        u, v = fresh_edge(graph, np.random.default_rng(12))
+        plan = FaultPlan().add("propagation.hop", "transient", max_fires=1)
+        with inject(plan):
+            with pytest.raises(TransientError):
+                engine.apply_update(u, v)
+        assert record.graph is published and record.dynamic is dynamic
+        assert dynamic.n_edges == graph.n_edges // 2
+        assert np.array_equal(record.stacked, stack)
+        assert len(engine.store) == stored and engine.predict(u).cached
+        assert (record.updates_applied, record.rows_recomputed) == (0, 0)
+
+        engine.apply_update(u, v)
+        engine.apply_update(*fresh_edge(record.graph, np.random.default_rng(13)))
+        fresh = PropagationEngine().propagate(
+            record.graph, record.graph.x, record.k_hops
+        )
+        assert np.array_equal(record.stacked, np.stack(fresh))
+
     def test_node_out_of_range_rejected(self, served_setup):
         graph, model = served_setup
         engine = ServingEngine()
@@ -891,3 +930,57 @@ class TestServingEngine:
         latency = engine.latency.summary()
         assert latency["p50"] <= latency["p99"]
         assert engine.queue.snapshot()["mean_batch_size"] > 1.0
+
+
+# --------------------------------------------------------------------- #
+# Node ids at the front doors
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def front_doors(csbm_dataset):
+    """An inline engine, a runtime and a two-shard router over one graph."""
+    graph, _ = csbm_dataset
+    model = SGC(graph.n_features, graph.n_classes, k_hops=1, seed=0)
+    engine = ServingEngine()
+    engine.register("sgc", model, graph)
+    runtime = ServingRuntime(n_workers=1)
+    runtime.register("sgc", model, graph)
+    router = ShardRouter(
+        model, graph, ldg_partition(graph, 2, seed=0).assignment, 2,
+        runtime_kwargs=dict(early_exit=False),
+    )
+    yield {"engine": engine, "runtime": runtime, "router": router}
+    runtime.close()
+    router.close()
+
+
+ENTRY_POINTS = {
+    "engine.predict": lambda d, bad: d["engine"].predict(bad),
+    "engine.predict_many": lambda d, bad: d["engine"].predict_many([bad]),
+    "runtime.predict": lambda d, bad: d["runtime"].predict(bad),
+    "runtime.predict_many": lambda d, bad: d["runtime"].predict_many([bad]),
+    "runtime.predict_async": lambda d, bad: d["runtime"].predict_async(bad),
+    "router.predict": lambda d, bad: d["router"].predict(bad),
+    "router.predict_many": lambda d, bad: d["router"].predict_many([bad]),
+    "engine.apply_update": lambda d, bad: d["engine"].apply_update(0, bad),
+    "engine.apply_updates": lambda d, bad: d["engine"].apply_updates([(bad, 5)]),
+    "runtime.apply_update": lambda d, bad: d["runtime"].apply_update(bad, 5),
+    "runtime.apply_updates": lambda d, bad: d["runtime"].apply_updates(
+        [(0, 5, bad)]
+    ),
+}
+
+
+class TestNodeIds:
+    @pytest.mark.parametrize("bad", [3.7, np.float64(2.0), "a", None])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_integral_node_id_is_a_serving_error(
+        self, front_doors, entry, bad
+    ):
+        """A float, string or None id is rejected, never truncated to a
+        node; a three-element edge is rejected, never half-read."""
+        with pytest.raises(ServingError):
+            ENTRY_POINTS[entry](front_doors, bad)
+        record = front_doors["engine"].registry.get("sgc")
+        assert record.updates_applied == 0
