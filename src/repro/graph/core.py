@@ -53,6 +53,7 @@ class Graph:
         "_n_nodes",
         "_csr",
         "_fingerprint",
+        "_feature_fingerprint",
     )
 
     def __init__(
@@ -102,6 +103,7 @@ class Graph:
         self._n_nodes = n_nodes
         self._csr: sp.csr_matrix | None = None
         self._fingerprint: str | None = None
+        self._feature_fingerprint: str | None = None
         for arr in (self.indptr, self.indices, self.weights, self.x, self.y):
             if arr is not None:
                 arr.setflags(write=False)
@@ -294,6 +296,21 @@ class Graph:
 
             self._fingerprint = graph_fingerprint(self)
         return self._fingerprint
+
+    @property
+    def feature_fingerprint(self) -> str | None:
+        """Lazy content hash of ``x`` (``None`` without features).
+
+        ``array_fingerprint(graph.x)``, computed once per instance like
+        :attr:`fingerprint`: the propagation engine keys hop stacks of
+        ``graph.x`` by it, so clearing the engine does not re-hash the
+        feature matrix.
+        """
+        if self._feature_fingerprint is None and self.x is not None:
+            from repro.perf.fingerprint import array_fingerprint
+
+            self._feature_fingerprint = array_fingerprint(self.x)
+        return self._feature_fingerprint
 
     # ------------------------------------------------------------------ #
     # Derived graphs

@@ -6,8 +6,10 @@ identical CSR arrays share one cache entry, and a structurally different
 graph can never be served a stale operator. Fingerprinting is a single
 blake2b pass over the raw buffers — orders of magnitude cheaper than even
 one sparse matmul — and :class:`~repro.graph.core.Graph` memoizes the
-digest on the instance (:attr:`~repro.graph.core.Graph.fingerprint`)
-because graphs are immutable, so the hash is paid at most once per graph.
+digests on the instance (:attr:`~repro.graph.core.Graph.fingerprint` for
+the structure, :attr:`~repro.graph.core.Graph.feature_fingerprint` for
+``x``) because graphs are immutable, so each hash is paid at most once per
+graph, however often the caches keyed by it are cleared.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ def array_fingerprint(*arrays: np.ndarray | None) -> str:
     """Hex digest over the dtype, shape and bytes of each array, in order.
 
     ``None`` entries hash to a distinct marker so optional arrays (e.g. a
-    missing feature matrix) cannot collide with empty ones.
+    missing feature matrix) cannot collide with empty ones. A C-contiguous
+    array is hashed through its buffer in place (the digest of its
+    ``tobytes()``, without that copy); others are made contiguous first.
     """
     digest = hashlib.blake2b(digest_size=16)
     for arr in arrays:
@@ -31,7 +35,7 @@ def array_fingerprint(*arrays: np.ndarray | None) -> str:
         contiguous = np.ascontiguousarray(arr)
         digest.update(str(contiguous.dtype).encode())
         digest.update(str(contiguous.shape).encode())
-        digest.update(contiguous.tobytes())
+        digest.update(contiguous)
     return digest.hexdigest()
 
 

@@ -214,14 +214,18 @@ class PropagationEngine:
         accessor, _, kwargs = _kind_operator(kind, alpha)
         return getattr(self.cache, accessor)(graph, dtype=dtype, **kwargs)
 
-    def _feature_fingerprint(self, features: np.ndarray) -> str:
+    def _feature_fingerprint(self, graph: Graph, features: np.ndarray) -> str:
         """Content hash of a feature matrix, memoized by identity.
 
-        Read-only arrays (e.g. ``graph.x``, or a previously served hop)
-        cannot change content, so their digest is cached keyed by object
-        identity — repeat lookups of a warm stack cost O(1) instead of a
-        full re-hash. Writable arrays are always re-hashed.
+        ``graph.x`` itself uses the digest memoized on the graph
+        (:attr:`Graph.feature_fingerprint`), which outlives :meth:`clear`.
+        Other read-only arrays (e.g. a previously served hop) cannot change
+        content, so their digest is cached keyed by object identity —
+        repeat lookups of a warm stack cost O(1) instead of a full re-hash.
+        Writable arrays are always re-hashed.
         """
+        if features is graph.x:
+            return graph.feature_fingerprint
         if features.flags.writeable:
             return array_fingerprint(features)
         return self._feature_hashes.get_or_build_for(
@@ -302,7 +306,7 @@ class PropagationEngine:
     ) -> list[np.ndarray]:
         key = (
             graph.fingerprint,
-            self._feature_fingerprint(features),
+            self._feature_fingerprint(graph, features),
             kind,
             None if alpha is None else float(alpha),
             eff_dtype.str,

@@ -3,7 +3,18 @@
 A :class:`Tensor` wraps an ``ndarray`` and records, for each produced value,
 the parent tensors and a closure that propagates the output gradient to
 them. Calling :meth:`Tensor.backward` performs a topological sort of the
-recorded graph and accumulates gradients leaf-ward.
+recorded graph and accumulates gradients leaf-ward: leaves sum the
+gradients of every call, while an intermediate node's gradient lives only
+until its closure has consumed it.
+
+Gradients change hands without copies. A closure receives its node's
+gradient as an array it owns, and hands its parents arrays it computed —
+or the one it received, updated in place — with
+``_accumulate(..., owned=True)``, so a parent keeps them as its ``.grad``
+uncopied. Only an array that reaches two parents (``__add__``,
+:func:`~repro.tensor.functional.concat`,
+:func:`~repro.tensor.functional.stack_rows`), a view of the incoming
+gradient, or a caller-supplied seed is copied.
 
 Only the operations the library needs are implemented, but each is complete:
 broadcasting is handled in both directions, and sparse matrices (SciPy CSR)
@@ -120,17 +131,34 @@ class Tensor:
         parents: tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(p for p in parents if p.requires_grad)
-            out._backward = backward
+        out = Tensor(data)
+        if _GRAD_ENABLED[-1]:
+            live = tuple(p for p in parents if p.requires_grad)
+            if live:
+                out.requires_grad = True
+                out._parents = live
+                out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into :attr:`grad`, reduced over broadcast axes.
+
+        ``owned=True`` says the caller allocated ``grad`` and keeps no other
+        reference to it, so the first gradient is stored without a copy.
+        A broadcast reduction is always a new array, so it is owned too.
+        An intermediate node's gradient is therefore always its own array
+        (:meth:`backward` resets it), and later gradients are added into it
+        in place; a leaf's ``.grad`` may be shared with the caller, so it
+        is rebound to a new sum instead.
+        """
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != self.data.shape:
+            grad = _unbroadcast(grad, self.data.shape)
+            owned = True
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned else grad.copy()
+        elif self._backward is not None:
+            np.add(self.grad, grad, out=self.grad)
         else:
             self.grad = self.grad + grad
 
@@ -143,9 +171,16 @@ class Tensor:
 
         ``grad`` defaults to 1 for scalar tensors; for non-scalars it must be
         provided with a matching shape.
+
+        Leaf gradients accumulate across calls. An intermediate node's
+        gradient is transient: it is handed to the node's backward closure,
+        which owns it from then on (and may reuse it in place), and is not
+        kept on the node. A second call on the same graph therefore adds
+        exactly the leaf gradients of the first again.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that requires no grad")
+        owned = grad is None
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError("backward() without grad requires a scalar tensor")
@@ -157,30 +192,30 @@ class Tensor:
                     f"grad shape {grad.shape} != tensor shape {self.data.shape}"
                 )
 
+        # Iterative post-order DFS: parents before children in ``order``.
+        # Tensors hash by identity (no ``__eq__``), so they key ``seen``.
         order: list[Tensor] = []
-        seen: set[int] = set()
+        seen = {self}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            current, parents = stack[-1]
+            for p in parents:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                order.append(current)
+                stack.pop()
 
-        def visit(node: "Tensor") -> None:
-            stack = [(node, iter(node._parents))]
-            seen.add(id(node))
-            while stack:
-                current, parents = stack[-1]
-                advanced = False
-                for p in parents:
-                    if id(p) not in seen:
-                        seen.add(id(p))
-                        stack.append((p, iter(p._parents)))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(current)
-                    stack.pop()
-
-        visit(self)
-        self._accumulate(grad)
+        for node in order:
+            if node._backward is not None:
+                node.grad = None
+        self._accumulate(grad, owned=owned)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                grad, node.grad = node.grad, None
+                node._backward(grad)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -209,7 +244,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(np.negative(grad, out=grad), owned=True)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -225,9 +260,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * other.data)
+                self._accumulate(grad * other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(grad * self.data)
+                other._accumulate(grad * self.data, owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -239,9 +274,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad / other.data)
+                self._accumulate(grad / other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(-grad * self.data / (other.data**2))
+                other._accumulate(-grad * self.data / (other.data**2), owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -255,7 +290,7 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -269,9 +304,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad @ other.data.T)
+                self._accumulate(grad @ other.data.T, owned=True)
             if other.requires_grad:
-                other._accumulate(self.data.T @ grad)
+                other._accumulate(self.data.T @ grad, owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -321,7 +356,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             np.add.at(full, index, grad)
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -333,7 +368,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             full[:n] = grad
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -353,6 +388,6 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     out_data = mat @ dense.data
 
     def backward(grad: np.ndarray) -> None:
-        dense._accumulate(mat.T.tocsr() @ grad)
+        dense._accumulate(mat.T.tocsr() @ grad, owned=True)
 
     return Tensor._make(out_data, (dense,), backward)

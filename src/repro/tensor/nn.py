@@ -3,7 +3,10 @@
 A :class:`Module` owns :class:`Parameter` tensors (discovered recursively
 through attributes, lists, and sub-modules), exposes ``train()``/``eval()``
 mode switching, and supports state-dict save/load — enough machinery to
-express every model in the zoo without a framework dependency.
+express every model in the zoo without a framework dependency. A
+parameter's ``.data`` is its own array for its whole life: optimisers
+update it in place and never rebind it, so any number of optimisers (and
+:meth:`Module.load_state_dict`) can act on the same parameters.
 """
 
 from __future__ import annotations
@@ -121,7 +124,10 @@ class Module:
 
 
 class Linear(Module):
-    """Affine layer ``x @ W + b`` with Glorot-uniform initialisation."""
+    """Affine layer ``x @ W + b`` with Glorot-uniform initialisation.
+
+    One :func:`~repro.tensor.functional.linear` graph node per call.
+    """
 
     def __init__(
         self, in_features: int, out_features: int, bias: bool = True, seed=None
@@ -132,10 +138,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
 
 class Dropout(Module):
@@ -180,7 +183,9 @@ class MLP(Module):
 
     The feature-transformation half of every decoupled GNN (§3.1.2): in
     SGC/APPNP-precompute/GAMLP-style models the propagation output is fed
-    through exactly this network.
+    through exactly this network. Each layer is one
+    :func:`~repro.tensor.functional.linear` node, with the ReLU fused into
+    the hidden layers.
     """
 
     def __init__(
@@ -207,10 +212,9 @@ class MLP(Module):
         self.dropout = Dropout(dropout, seed=rng) if dropout > 0 else None
 
     def forward(self, x: Tensor) -> Tensor:
+        last = len(self.linears) - 1
         for i, layer in enumerate(self.linears):
             if self.dropout is not None:
                 x = self.dropout(x)
-            x = layer(x)
-            if i < len(self.linears) - 1:
-                x = F.relu(x)
+            x = F.linear(x, layer.weight, layer.bias, relu=i < last)
         return x

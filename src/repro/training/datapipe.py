@@ -305,10 +305,15 @@ class CompactPerLayer(DataPipe):
 
 
 def _slice_rows(features, ids: np.ndarray):
-    """Row-slice an array or an aligned list of arrays (multi-hop shape)."""
+    """Row-gather an array or an aligned list of arrays (multi-hop shape).
+
+    ``np.take`` returns the same bits as ``features[ids]`` and gathers
+    faster. Each batch gets a new array: a reused ``out=`` buffer would
+    overwrite a batch still waiting in a :class:`Prefetcher` queue.
+    """
     if isinstance(features, list):
-        return [f[ids] for f in features]
-    return features[ids]
+        return [np.take(f, ids, axis=0) for f in features]
+    return np.take(features, ids, axis=0)
 
 
 class FeatureFetcher(DataPipe):

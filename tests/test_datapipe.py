@@ -144,6 +144,23 @@ class TestFeatureFetcher:
             for got, full in zip(mb.x, hops):
                 assert np.array_equal(got, full[mb.seeds])
 
+    @pytest.mark.parametrize("depth", [0, 2], ids=["sync", "prefetch"])
+    @pytest.mark.parametrize("shape", ["array", "list"])
+    def test_rows_equal_fancy_index_and_are_never_reused(self, rng, shape, depth):
+        # Every batch is collected before any is checked, so a gather into
+        # a reused buffer would show as earlier batches overwritten.
+        x = rng.normal(size=(50, 6))
+        features = x if shape == "array" else [x, 2.0 * x]
+        pipe = SeedBatcher(np.arange(50), 8, seed=3).fetch_features(features=features)
+        batches = list(pipe.prefetch(depth=depth) if depth else pipe)
+        assert len(batches) == 7
+        for mb in batches:
+            got = mb.x if shape == "list" else [mb.x]
+            full = features if shape == "list" else [features]
+            for g, f in zip(got, full):
+                assert g.tobytes() == f[mb.seeds].tobytes()
+                assert not np.shares_memory(g, f)
+
     def test_store_routing_hits_on_second_epoch(self, rng):
         x = rng.normal(size=(40, 5))
         store = FeatureStore(capacity=100)

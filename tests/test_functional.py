@@ -106,6 +106,64 @@ class TestCrossEntropy:
         F.cross_entropy(logits, np.array([0, 1, 2, 0])).backward()
         assert np.allclose(logits.grad.sum(axis=1), 0.0)
 
+    @pytest.mark.parametrize("bad", [-1, 3, 0.7], ids=["negative", "past_last", "fractional"])
+    def test_malformed_labels_rejected(self, rng, bad):
+        # -1 used to score the last class, 3 raised a bare IndexError and
+        # 0.7 was truncated to class 0.
+        labels = np.array([0, 1, 2, bad], dtype=type(bad))
+        with pytest.raises(ShapeError):
+            F.cross_entropy(Tensor(rng.normal(size=(4, 3))), labels)
+
+    def test_integral_float_and_bool_labels_accepted(self, rng):
+        logits = Tensor(rng.normal(size=(4, 3)))
+        ints = F.cross_entropy(logits, np.array([0, 1, 2, 1])).item()
+        assert F.cross_entropy(logits, np.array([0.0, 1.0, 2.0, 1.0])).item() == ints
+        two = Tensor(logits.data[:, :2])
+        assert F.cross_entropy(two, np.array([False, True, True, False])).item() == (
+            F.cross_entropy(two, np.array([0, 1, 1, 0])).item()
+        )
+
+    def test_second_backward_leaves_the_forward_intact(self, rng):
+        logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        loss = F.cross_entropy(logits, np.array([0, 1, 2, 0, 1]))
+        loss.backward()
+        first = logits.grad.copy()
+        loss.backward()
+        assert np.array_equal(logits.grad, first + first)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_matches_unfused_ops_bitwise(self, rng, relu):
+        x = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        x2, w2, b2 = (Tensor(t.data, requires_grad=True) for t in (x, w, b))
+        fused = F.linear(x, w, b, relu=relu)
+        plain = x2 @ w2 + b2
+        if relu:
+            plain = F.relu(plain)
+        assert fused.data.tobytes() == plain.data.tobytes()
+        seed = rng.normal(size=fused.shape)
+        fused.backward(seed)
+        plain.backward(seed)
+        for a, c in ((x, x2), (w, w2), (b, b2)):
+            assert a.grad.tobytes() == c.grad.tobytes()
+
+    def test_gradient(self, rng):
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        assert check_gradients(
+            lambda x, w, b: F.linear(x, w, b, relu=True).sum(), [x, w, b]
+        )
+
+    def test_without_bias(self, rng):
+        x = Tensor(rng.normal(size=(3, 2)))
+        w = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        F.linear(x, w).sum().backward()
+        assert np.array_equal(w.grad, x.data.T @ np.ones((3, 4)))
+
 
 class TestDropout:
     def test_eval_mode_identity(self, x):

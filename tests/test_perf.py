@@ -2,6 +2,7 @@
 propagation engine, and the hop oracles every SpMM must meet bitwise."""
 
 import gc
+import hashlib
 import inspect
 import sys
 import threading
@@ -69,6 +70,45 @@ class TestFingerprint:
     def test_array_fingerprint_dtype_sensitive(self):
         a = np.arange(4, dtype=np.int64)
         assert array_fingerprint(a) != array_fingerprint(a.astype(np.float64))
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(12.0).reshape(3, 4),
+        np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        np.arange(20, dtype=np.int64)[::3],
+        np.zeros((0, 5)),
+        np.array(2.5),
+        np.ones(7, dtype=bool),
+    ], ids=["c", "fortran", "strided", "empty", "scalar", "bool"])
+    def test_array_fingerprint_matches_the_tobytes_formula(self, arr):
+        # The digest hashed ``tobytes()`` copies before; hashing the
+        # contiguous buffer in place must keep every digest byte-identical.
+        digest = hashlib.blake2b(digest_size=16)
+        contiguous = np.ascontiguousarray(arr)
+        digest.update(str(contiguous.dtype).encode())
+        digest.update(str(contiguous.shape).encode())
+        digest.update(contiguous.tobytes())
+        digest.update(b"<none>")
+        assert array_fingerprint(arr, None) == digest.hexdigest()
+
+    def test_feature_fingerprint_memoized_on_graph(self, featured_ba):
+        assert featured_ba.feature_fingerprint == array_fingerprint(featured_ba.x)
+        assert featured_ba.feature_fingerprint is featured_ba.feature_fingerprint
+        assert Graph.from_edges([(0, 1)], 2).feature_fingerprint is None
+
+    def test_engine_clear_does_not_rehash_graph_features(self, featured_ba, monkeypatch):
+        import repro.perf.propagation as propagation
+
+        engine = PropagationEngine(OperatorCache())
+        first = engine.hop_features(featured_ba, 2)
+        calls = []
+        monkeypatch.setattr(
+            propagation, "array_fingerprint",
+            lambda *a: calls.append(a) or array_fingerprint(*a),
+        )
+        engine.clear()
+        again = engine.hop_features(featured_ba, 2)
+        assert calls == []
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 class TestBoundedCache:
