@@ -16,9 +16,7 @@ Claims measured here:
    poisoned mid-stream. Asserted: ``predict_many`` never fails as a
    whole batch, the router fails over to the replica, requests on other
    shards are all answered, and availability (fraction of ``status ==
-   "ok"`` answers) stays above ``AVAILABILITY_BOUND``. The per-request
-   outcomes feed an ``error_rate`` availability SLO rule on a
-   :class:`repro.obs.telemetry.SloMonitor`.
+   "ok"`` answers) stays above ``AVAILABILITY_BOUND``.
 3. **Membership transitions are observable.** The run executes with the
    obs plane enabled; ``supervisor.*`` counters (respawns, rejoins,
    fenced writes, failovers, readmissions) must appear in the registry
@@ -46,7 +44,6 @@ from repro.datasets import contextual_sbm
 from repro.editing import ldg_partition
 
 AVAILABILITY_BOUND = 0.90   # fraction of ok answers under primary kill
-ERROR_RATE_SLO = "error_rate < 10%"
 
 
 def _leftover_segments() -> list[str]:
@@ -127,7 +124,6 @@ def _training_chaos(graph, split, assignment, n_parts, epochs):
 def _serving_chaos(graph, assignment, n_parts, n_requests):
     """Claim 2: kill-primary under load — availability and failover."""
     from repro.models import SGC
-    from repro.obs.telemetry import SloMonitor
     from repro.serving import ShardRouter
 
     model = SGC(graph.n_features, graph.n_classes, k_hops=1, seed=0)
@@ -142,12 +138,9 @@ def _serving_chaos(graph, assignment, n_parts, n_requests):
             ),
         ),
     )
-    monitor = SloMonitor(window_s=3600.0, evaluate_every=10**9)
-    slo_rule = monitor.add_rule(ERROR_RATE_SLO, min_samples=10)
     rng = np.random.default_rng(11)
     nodes = rng.choice(graph.n_nodes, size=n_requests, replace=True)
     kill_at = n_requests // 3
-    statuses = []
     start = time.perf_counter()
     with router:
         # Phase 1: healthy traffic; phase 2: primary of shard 0 dies.
@@ -162,13 +155,10 @@ def _serving_chaos(graph, assignment, n_parts, n_requests):
         wall = time.perf_counter() - start
         results = healthy + wounded
         assert len(results) == n_requests  # no whole-batch failure, ever
-        for result in results:
-            statuses.append(result.status)
-            monitor.record(result.latency_s, ok=result.status == "ok")
+        statuses = [result.status for result in results]
         failovers = router.failovers
         active_after = router.active_replica(0)
         router_snapshot = router.snapshot()
-    monitor.evaluate()
     availability = statuses.count("ok") / len(statuses)
     assert failovers >= 1, "primary kill never triggered a failover"
     assert active_after == 1, "shard 0 is not being served by its replica"
@@ -184,9 +174,6 @@ def _serving_chaos(graph, assignment, n_parts, n_requests):
         "failovers": failovers,
         "readmissions": router_snapshot["readmissions"],
         "active_replica_shard0": active_after,
-        "slo_rule": ERROR_RATE_SLO,
-        "slo_breached": slo_rule.breached,
-        "slo_observed_error_rate": 1.0 - availability,
     }
 
 

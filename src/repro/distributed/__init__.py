@@ -2,9 +2,11 @@
 
 ``spawn``-ed worker processes, one per partition part, attach the
 coordinator-published feature matrix and per-shard CSR arrays zero-copy
-from ``multiprocessing.shared_memory``, exchange halo feature rows per
-cross-partition arc every round, and synchronise parameters through the
-coordinator with train-node-weighted averaging.
+from ``multiprocessing.shared_memory``, gather their owned and ghost
+feature rows once, and synchronise parameters through the coordinator
+with train-node-weighted averaging. A round on either backend is step →
+publish state → average → load: features never change, so no round
+ships a feature row, and parameters are the only per-round traffic.
 
 :class:`SimulatedBackend` runs the same algorithm in one process: the
 same shard plan, the same per-rank
@@ -18,8 +20,11 @@ so it is the process backend's oracle. Pick a backend with
 
     result = get_backend("process").run(graph, split, assignment, 4,
                                         epochs=10)
-    assert result.halo_floats_received == \
-        result.halo_floats_per_epoch * result.epochs
+    # The one-time local gather is the only feature traffic:
+    # float64 rows plus int64 labels of every owned and ghost node.
+    plan = build_shard_plan(graph, assignment, 4)
+    assert result.attach_stats["copied_bytes"] == sum(
+        s.n_local for s in plan.shards) * (graph.n_features + 1) * 8
     oracle = get_backend("simulated").run(graph, split, assignment, 4,
                                           epochs=10)
     assert oracle.param_checksum == result.param_checksum
@@ -33,7 +38,7 @@ rejoin (see :mod:`repro.distributed.supervisor`).
 
 See ``DESIGN.md`` ("Process-parallel distributed training" and
 "Membership, leases, and self-healing") for the process topology,
-shared-segment lifecycle, and halo/lease protocols.
+shared-segment lifecycle, and round/lease protocols.
 """
 
 from repro.distributed.backend import (

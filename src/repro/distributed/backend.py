@@ -10,15 +10,18 @@ rank's own ``training.worker_step`` fault injector), and one averaging
 rule (:func:`average_params`). Both validate through one path before any
 work and return a :class:`BackendResult`:
 
-* :class:`SimulatedBackend` — the rounds in one process. Features never
-  change, so the halo exchange would copy every ghost row onto itself;
-  it is skipped and only its analytic volume is reported.
+* :class:`SimulatedBackend` — the rounds in one process.
 * :class:`ProcessBackend` — real ``spawn``-ed worker processes over
   shared-memory graph shards (:mod:`repro.distributed.shm`,
   :mod:`repro.distributed.shards`): the coordinator publishes the
   feature matrix and per-shard CSR arrays once, workers attach
-  zero-copy, ship halo feature rows per cross-partition arc through
-  pairwise shared buffers, and synchronise parameters each round.
+  zero-copy, gather their owned and ghost rows once, and synchronise
+  parameters each round.
+
+A round is the same sequence on both: step → publish state → average →
+load. Features never change, so no round ships a feature row: each
+rank's one-time gather already holds its ghost rows. Parameters are the
+only per-round traffic.
 
 With the same arguments the two end on the same ``param_checksum``, so
 the in-process backend is the process backend's bitwise oracle, fault
@@ -35,11 +38,10 @@ that sees round ``r`` is guaranteed a complete round-``r`` payload.
 Membership has one path: a
 :class:`~repro.distributed.supervisor.Supervisor` polls the workers
 whenever the gather stalls. Without ``supervise=`` it runs
-``LeasePolicy(on_expiry="evict")`` with no lease plane: a dead rank's
-byte in the shared ``alive`` array is zeroed (the only
-coordinator-written worker-visible flag), the round's average is
-renormalised over the survivors, and peers fall back to stale ghost rows
-instead of waiting on the dead rank's halo buffer. ``supervise=`` adds
+``LeasePolicy(on_expiry="evict")`` with no lease plane: a dead rank
+is dropped from the membership and the round's average is renormalised
+over the survivors. No worker waits on a peer, only on the
+coordinator's parameter round cell. ``supervise=`` adds
 the lease plane — per-rank heartbeat leases and per-round resume
 checkpoints — so the policy can also respawn a rank, which rejoins
 generation-fenced and bit-exact (see :mod:`repro.distributed.supervisor`).
@@ -106,12 +108,14 @@ class BackendResult:
 
     The analytic fields (``halo_floats_per_epoch``,
     ``param_sync_floats_per_round``, ``cross_partition_arcs``) mean the
-    same thing for both backends; the measured fields
-    (``halo_floats_shipped`` / ``halo_floats_received``, attach
-    accounting) are only non-zero for the process backend — in a
-    healthy run ``halo_floats_received`` equals
-    ``halo_floats_per_epoch × epochs`` exactly, by the per-arc exchange
-    construction.
+    same thing for both backends. ``halo_floats_per_epoch`` is the
+    modelled volume of a system that exchanges one boundary feature row
+    per cross-partition arc every epoch; no backend here ships it, since
+    features never change and each rank gathers its ghost rows once.
+    ``attach_stats`` is only filled by the process backend: in an
+    unfaulted run its ``copied_bytes`` is exactly that one-time gather,
+    Σ_p n_local_p·(d+1)·8 bytes (float64 feature rows plus int64
+    labels).
     """
 
     backend: str
@@ -121,8 +125,6 @@ class BackendResult:
     cross_partition_arcs: int
     halo_floats_per_epoch: int
     param_sync_floats_per_round: int
-    halo_floats_shipped: int = 0
-    halo_floats_received: int = 0
     sync_rounds: int = 0
     worker_failures: int = 0
     straggler_events: int = 0
@@ -227,8 +229,7 @@ class SimulatedBackend(DistributedBackend):
     the contributions are averaged by :func:`average_params` — the
     process coordinator's arithmetic on the same inputs, so both backends
     end on the same ``param_checksum``. There are no processes to lose,
-    so the run takes no membership, timeout or telemetry arguments, and
-    ``halo_floats_shipped``/``halo_floats_received`` stay 0.
+    so the run takes no membership, timeout or telemetry arguments.
     """
 
     name = "simulated"
@@ -321,16 +322,15 @@ class ProcessBackend(DistributedBackend):
 
     Instances are reusable across runs and double as an
     :class:`repro.obs` stats source (``distributed.backend.*``
-    counters: halo floats shipped/received, sync rounds, segment
-    attaches, workers lost).
+    counters: runs, sync rounds, segment attaches, workers lost,
+    respawns, evictions).
     """
 
     name = "process"
 
     def __init__(self) -> None:
         self._counters = dict.fromkeys((
-            "runs", "halo_floats_shipped", "halo_floats_received",
-            "sync_rounds", "attaches", "workers_lost", "respawns",
+            "runs", "sync_rounds", "attaches", "workers_lost", "respawns",
             "evictions",
         ), 0)
         #: The merged per-rank metrics view of the most recent
@@ -455,7 +455,7 @@ class _Coordinator:
 
     # Phase outputs that stay unset when their phase is off or not
     # reached; ``tele`` holds the repro.obs.telemetry module while on.
-    alive = leases = run_cm = tele = cluster = tele_dir = trace_ctx = None
+    leases = run_cm = tele = cluster = tele_dir = trace_ctx = None
     made_resume_dir = False
 
     def __post_init__(self) -> None:
@@ -469,7 +469,6 @@ class _Coordinator:
         self.totals = dict.fromkeys((
             "worker_failures", "straggler_events", "degraded_rounds",
             "sync_rounds", "workers_lost",
-            "halo_floats_shipped", "halo_floats_received",
         ), 0)
         self.attach_stats = {"attaches": 0, "mapped_bytes": 0, "copied_bytes": 0}
 
@@ -538,14 +537,13 @@ class _Coordinator:
         Returns, per rank, every segment handle that rank attaches, keyed
         by its :class:`WorkerSpec` field name.
         """
-        arena, n, dim = self.arena, self.n_parts, self.graph.x.shape[1]
+        arena, n = self.arena, self.n_parts
         train_mask = np.zeros(self.graph.n_nodes, dtype=bool)
         train_mask[self.split.train] = True
         common = {
             "x": arena.publish("x", np.ascontiguousarray(self.graph.x)),
             "y": arena.publish("y", self.graph.y.astype(np.int64)),
             "train_mask": arena.publish("train-mask", train_mask),
-            "alive": arena.publish("alive", np.ones(n, dtype=np.uint8)),
             "params": arena.publish("params", self.averaged),
             "params_round": arena.publish(
                 "params-round", np.full(1, -1, dtype=np.int64)
@@ -560,14 +558,6 @@ class _Coordinator:
                 weights=arena.publish(f"s{p}-weights", shard.weights),
                 owned=arena.publish(f"s{p}-owned", shard.owned),
                 ghosts=arena.publish(f"s{p}-ghosts", shard.ghosts),
-                send={
-                    q: arena.publish(f"s{p}-send-{q}", idx)
-                    for q, idx in shard.send.items()
-                },
-                recv={
-                    q: arena.publish(f"s{p}-recv-{q}", idx)
-                    for q, idx in shard.recv.items()
-                },
                 state=arena.publish(f"state-{p}", np.zeros_like(self.averaged)),
                 # [round, n_train, failed, generation]; the round cell
                 # starts unpublished.
@@ -578,22 +568,7 @@ class _Coordinator:
                 done=arena.publish(
                     f"done-{p}", np.zeros(1 + len(DONE_FIELDS), dtype=np.int64)
                 ),
-                # Pairwise halo buffers: payload (arcs × dim) + round
-                # cell, writer-owned on the source side.
-                halo_out={
-                    q: (
-                        arena.publish(f"halo-{p}-{q}", np.zeros((len(idx), dim))),
-                        arena.publish(
-                            f"halo-{p}-{q}-round", np.full(1, -1, dtype=np.int64)
-                        ),
-                    )
-                    for q, idx in shard.send.items()
-                },
             ))
-        for p, shard in enumerate(self.plan.shards):
-            handles[p]["halo_in"] = {
-                q: handles[q]["halo_out"][p] for q in shard.recv
-            }
         # Lease cells (supervised runs): written payload-first
         # sequence-last by each worker's heartbeat thread.
         if self.lease_policy is not None:
@@ -616,7 +591,6 @@ class _Coordinator:
                 self.metrics_views.append((
                     arena.view(f"metrics-{p}"), arena.view(f"metrics-meta-{p}")
                 ))
-        self.alive = arena.view("alive", writable=True)
         self.params = arena.view("params", writable=True)
         self.params_round = arena.view("params-round", writable=True)
         self.metas = [
@@ -744,8 +718,6 @@ class _Coordinator:
                     continue
                 counters = dict(zip(DONE_FIELDS, self.dones[rank][1:]))
                 self.totals["straggler_events"] += counters["stragglers"]
-                for key in ("halo_floats_shipped", "halo_floats_received"):
-                    self.totals[key] += counters[key]
                 for key in self.attach_stats:
                     self.attach_stats[key] += counters[key]
                 reported.add(rank)
@@ -762,10 +734,7 @@ class _Coordinator:
     def _count_run(self) -> None:
         counters = self.backend._counters
         counters["runs"] += 1
-        for key in (
-            "halo_floats_shipped", "halo_floats_received",
-            "sync_rounds", "workers_lost",
-        ):
+        for key in ("sync_rounds", "workers_lost"):
             counters[key] += self.totals[key]
         counters["attaches"] += self.attach_stats["attaches"]
         sup = self.supervisor.snapshot()
@@ -773,8 +742,7 @@ class _Coordinator:
         counters["evictions"] += int(sup["evictions"])
         if obs.OBS.enabled:
             reg = obs.OBS.registry
-            for key in ("halo_floats_shipped", "sync_rounds"):
-                reg.counter(f"distributed.{key}").inc(self.totals[key])
+            reg.counter("distributed.sync_rounds").inc(self.totals["sync_rounds"])
             reg.counter("distributed.attaches").inc(
                 self.attach_stats["attaches"]
             )
@@ -833,9 +801,6 @@ class _Coordinator:
                 self._harvest_metrics()
             except Exception:  # pragma: no cover - defensive
                 _LOG.exception("telemetry harvest failed during teardown")
-        if self.alive is not None:
-            self.alive[:] = 0
-            self.alive = None  # release the buffer before unlink
         for proc in self.processes:
             if proc.is_alive():
                 proc.terminate()
@@ -874,7 +839,6 @@ class _Coordinator:
         if rank not in self.expected:
             return
         self.expected.discard(rank)
-        self.alive[rank] = 0
         self.totals["workers_lost"] += 1
         if self.cluster is not None:
             self.cluster.mark_dead(rank)

@@ -22,10 +22,13 @@ for each ordered shard pair ``p → q`` with cross arcs,
 ``send[q]`` on shard ``p`` lists the local row of the source of every
 arc, and ``recv[p]`` on shard ``q`` lists the ghost slot each shipped
 row lands in — same arc order on both sides, so the exchange is a
-gather on one side and a scatter on the other. Duplicate rows per arc
-are shipped deliberately: measured traffic then equals the analytic
-model by construction (ghost deduplication is the obvious real-system
-optimisation, left as an explicitly separate accounting).
+gather on one side and a scatter on the other, one row per arc.
+Training ships none of these rows: input features never change, so a
+worker's one-time local gather already holds every ghost row. The maps
+are the data plane for rows that *do* change between rounds, such as
+hop-j rows in a sharded multi-hop precompute, and
+:meth:`ShardPlan.halo_floats_per_epoch` models what a system that
+exchanged boundary features every epoch would move.
 """
 
 from __future__ import annotations
@@ -102,7 +105,9 @@ class ShardPlan:
     cross_arcs_total: int
 
     def halo_floats_per_epoch(self, feature_dim: int) -> int:
-        """Analytic halo volume: cross-partition arcs × feature dim."""
+        """Modelled per-epoch halo volume of a system that exchanges one
+        boundary feature row per cross arc: arcs × feature dim (no
+        backend here ships it)."""
         return self.cross_arcs_total * int(feature_dim)
 
 

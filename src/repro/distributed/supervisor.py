@@ -42,8 +42,8 @@ model/optimizer/dropout-RNG/fault-injector state from its per-rank
 fast-forwards the deterministic fault schedule, and re-enters the round
 loop one past its last completed round — the membership barrier is the
 coordinator's ordinary gather, which cannot advance without the rank.
-Because the resume state is bit-exact and halo payloads are static owned
-feature rows, a supervised run that loses and respawns a rank converges
+Because the resume state is bit-exact and a rank's feature rows are
+gathered once and never change, a supervised run that loses and respawns a rank converges
 **bit-identical** to the unfaulted run (the property
 ``tests/test_selfhealing.py`` asserts via the result's parameter
 checksum).

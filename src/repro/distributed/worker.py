@@ -1,4 +1,4 @@
-"""The worker process: attach, exchange halos, step, synchronise.
+"""The worker process: attach, step, synchronise.
 
 This module is the ``spawn`` entry point of :mod:`repro.distributed` —
 everything here must be importable from a fresh interpreter (no closures,
@@ -7,22 +7,24 @@ fixed sequence of phases (:func:`worker_main`):
 
 1. **attach** — map the published feature matrix, label/train-mask
    vectors, and this shard's CSR index arrays from shared memory
-   (zero-copy; the only duplication is the explicit local row gather,
-   which is accounted);
+   (zero-copy; the only duplication is the explicit local row gather of
+   the owned and ghost feature rows and labels, which is accounted);
 2. **heartbeat** (supervised runs) and **telemetry** (opt-in);
 3. **resume or init** — build the local GCN over the halo-augmented
    shard, then restore the last resume checkpoint (a respawned
    incarnation) or load the coordinator's initial parameters;
-4. per round: **halo exchange** (owned boundary rows per outgoing cross
-   arc into the pairwise shared halo buffer, peers' rows into local
-   ghost slots), the **shard step** (:class:`ShardStep`, which the
+4. per round: the **shard step** (:class:`ShardStep`, which the
    in-process backend runs too: the ``"training.worker_step"`` fault
    site, then one local GCN step with the loss restricted to owned
    training nodes), **parameter sync** (publish the flattened local
    state, load the coordinator's weighted average) and the **resume
    save**;
-5. **report** — a final shared-memory counter block: halo floats
-   actually shipped/received, attach accounting, fault counters.
+5. **report** — a final shared-memory counter block: attach accounting
+   and fault counters.
+
+Ghost rows are input features, which never change: the one-time gather
+at build already holds every value a peer could ship, so rounds exchange
+no feature rows. Parameters are the only per-round traffic.
 
 Why shared memory for *control* too, not queues: a worker killed
 mid-``Queue.put`` (the chaos scenario) leaves a partial pickle frame in
@@ -30,16 +32,16 @@ the pipe, and every later reader blocks forever inside ``get()`` — the
 poll sees readable bytes, the body never arrives. The protocol here is
 kill-safe by construction: every channel is a preallocated segment plus
 a monotonically advancing *round cell* written last, so the only
-failure mode a dead peer can leave behind is an un-advanced counter —
-which waiters detect through the coordinator-maintained ``alive`` byte
-array and degrade past (stale ghost rows, renormalised averages)
-instead of blocking on.
+failure mode a dead peer can leave behind is an un-advanced counter,
+which the coordinator's supervisor detects and acts on (the average is
+renormalised over the survivors, or the rank is respawned).
 
 Publication ordering: a writer fills the payload buffer first and
 advances the round cell last; a reader checks the round cell first and
 copies the payload immediately after. Lockstep round structure makes
-the buffer quiescent while read (a peer cannot start round ``r+1``'s
-write until the coordinator has seen every round-``r`` read complete).
+the buffer quiescent while read (a worker cannot publish round ``r+1``
+until the coordinator has averaged, and so read, every round-``r``
+state).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,19 +71,13 @@ from repro.resilience.faults import FaultInjector
 from repro.tensor import functional as F
 from repro.tensor.optim import Adam
 
-#: Spin-wait interval (seconds); liveness is checked between sleeps.
+#: Spin-wait interval (seconds) on a round cell.
 _POLL_S = 0.002
-#: Seconds a worker waits on a peer's halo round cell before training
-#: on the stale ghost rows already resident.
-HALO_TIMEOUT_S = 10.0
 #: Rounds between two telemetry publications (span flush + metrics cell).
 TELEMETRY_EVERY = 1
 
 #: Counter slots in a worker's "done" block, after the leading done flag.
 DONE_FIELDS = (
-    "halo_floats_shipped",
-    "halo_floats_received",
-    "halo_misses",
     "steps",
     "failures",
     "stragglers",
@@ -151,22 +147,11 @@ class WorkerSpec:
     x: SharedArrayHandle
     y: SharedArrayHandle
     train_mask: SharedArrayHandle
-    alive: SharedArrayHandle
     indptr: SharedArrayHandle
     indices: SharedArrayHandle
     weights: SharedArrayHandle
     owned: SharedArrayHandle
     ghosts: SharedArrayHandle
-    send: dict[int, SharedArrayHandle] = field(default_factory=dict)
-    recv: dict[int, SharedArrayHandle] = field(default_factory=dict)
-    #: peer -> (payload buffer, round cell) this worker WRITES (to peer)
-    halo_out: dict[int, tuple[SharedArrayHandle, SharedArrayHandle]] = field(
-        default_factory=dict
-    )
-    #: peer -> (payload buffer, round cell) this worker READS (from peer)
-    halo_in: dict[int, tuple[SharedArrayHandle, SharedArrayHandle]] = field(
-        default_factory=dict
-    )
     # shared control plane
     params: SharedArrayHandle | None = None
     params_round: SharedArrayHandle | None = None
@@ -195,18 +180,10 @@ class WorkerSpec:
     package_root: str | None = None
 
 
-def _wait_cell(cell: np.ndarray, target: int, timeout_s: float,
-               peer_alive=None) -> bool:
-    """Spin until ``cell[0] >= target``; ``False`` on timeout/dead peer.
-
-    ``peer_alive`` is a zero-arg callable; when it turns falsy and the
-    cell still has not advanced, the wait gives up immediately (the
-    writer died before publishing this round).
-    """
+def _wait_cell(cell: np.ndarray, target: int, timeout_s: float) -> bool:
+    """Spin until ``cell[0] >= target``; ``False`` on timeout."""
     deadline = time.monotonic() + timeout_s
     while cell[0] < target:
-        if peer_alive is not None and not peer_alive():
-            return cell[0] >= target
         if time.monotonic() > deadline:
             return False
         time.sleep(_POLL_S)
@@ -220,7 +197,7 @@ class ShardStep:
     :class:`_Worker` over rows copied out of attached shared memory, the
     in-process :class:`~repro.distributed.SimulatedBackend` over rows
     gathered from the graph. ``x`` holds the owned rows then the ghost
-    rows and stays writable, so halo rows land in place; ``train_ids``
+    rows, gathered once (features never change); ``train_ids``
     are the local ids of the owned training nodes. ``injector`` is the
     rank's own :class:`~repro.resilience.FaultInjector` (seeded
     ``fault_seed + rank``), consulted once per round at
@@ -344,22 +321,11 @@ class _Worker:
         self.x_full = attach(spec.x)
         self.y_full = attach(spec.y)
         self.train_mask = attach(spec.train_mask)
-        self.alive = attach(spec.alive)
         self.indptr = attach(spec.indptr)
         self.indices = attach(spec.indices)
         self.weights = attach(spec.weights)
         self.owned = attach(spec.owned)
         self.ghosts = attach(spec.ghosts)
-        self.send_idx = {p: attach(h) for p, h in spec.send.items()}
-        self.recv_idx = {p: attach(h) for p, h in spec.recv.items()}
-        self.halo_out = {
-            p: (attach(buf, writable=True), attach(rnd, writable=True))
-            for p, (buf, rnd) in spec.halo_out.items()
-        }
-        self.halo_in = {
-            p: (attach(buf), attach(rnd))
-            for p, (buf, rnd) in spec.halo_in.items()
-        }
         self.params_vec = attach(spec.params)
         self.params_round = attach(spec.params_round)
         self.state_vec = attach(spec.state, writable=True)
@@ -462,9 +428,9 @@ class _Worker:
                 directed=spec.directed, validate=False,
             ),
             # The one deliberate duplication: this worker's local feature
-            # rows (owned + ghosts), writable so halo reads can land.
-            self.segs.count_copy(self.x_full[local_nodes].copy()),
-            self.segs.count_copy(self.y_full[local_nodes].copy()),
+            # rows and labels (owned + ghosts), gathered once.
+            self.segs.count_copy(self.x_full[local_nodes]),
+            self.segs.count_copy(self.y_full[local_nodes]),
             np.flatnonzero(self.train_mask[self.owned]),
             n_classes=spec.n_classes, hidden=spec.hidden, lr=spec.lr,
             weight_decay=spec.weight_decay, dropout=spec.dropout,
@@ -528,14 +494,12 @@ class _Worker:
     # ---- one round ----------------------------------------------------
 
     def run_round(self, round_no: int) -> None:
-        """Halo exchange → shard step → sync → resume save."""
+        """Shard step → sync → resume save."""
         round_start = time.monotonic()
         # The round span is a per-round ROOT (no enclosing run span), so
         # a chaos kill mid-round leaves every previously flushed round
         # intact in the span log.
         with obs.span("worker.round", round=round_no, rank=str(self.rank)):
-            with obs.span("worker.halo_exchange", round=round_no):
-                self._exchange_halos(round_no)
             self._sync(round_no, self.shard.train_round(round_no))
             if self.resume_ckpt is not None:
                 self._save_resume(round_no + 1)
@@ -543,27 +507,6 @@ class _Worker:
             self.round_hist.observe(time.monotonic() - round_start)
             if (round_no + 1) % TELEMETRY_EVERY == 0:
                 self.publish_telemetry(seq=round_no + 1)
-
-    def _exchange_halos(self, round_no: int) -> None:
-        """Ship owned rows per outgoing cross arc, land peers' rows."""
-        for peer in sorted(self.halo_out):
-            buf, rnd = self.halo_out[peer]
-            buf[:] = self.shard.x[self.send_idx[peer]]
-            rnd[0] = round_no  # publish AFTER payload complete
-            self.counters["halo_floats_shipped"] += int(buf.size)
-        for peer in sorted(self.halo_in):
-            buf, rnd = self.halo_in[peer]
-            fresh = _wait_cell(
-                rnd, round_no, HALO_TIMEOUT_S,
-                peer_alive=lambda p=peer: bool(self.alive[p]),
-            )
-            if not fresh:
-                # Dead or silent peer: train on the stale ghost rows
-                # already resident (degraded, never blocked).
-                self.counters["halo_misses"] += 1
-                continue
-            self.shard.x[self.recv_idx[peer]] = buf
-            self.counters["halo_floats_received"] += int(buf.size)
 
     def _sync(self, round_no: int, failed: bool) -> None:
         """Publish the local state, then load the coordinator's average."""

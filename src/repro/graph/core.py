@@ -31,13 +31,15 @@ class Graph:
         Standard CSR row pointers and column indices of the (directed)
         adjacency structure.
     weights:
-        Optional per-arc weights; defaults to all-ones.
+        Optional per-arc weights; defaults to all-ones. Must be finite
+        (checked when ``validate`` is on).
     n_nodes:
         Number of nodes; inferred as ``len(indptr) - 1``.
     x:
         Optional ``(n_nodes, d)`` float feature matrix.
     y:
-        Optional ``(n_nodes,)`` integer label vector.
+        Optional ``(n_nodes,)`` label vector of non-negative integral
+        class ids (integer, bool, or integral float dtype).
     directed:
         Whether the arc set should be interpreted as directed. Undirected
         graphs must store both arc directions; this is validated.
@@ -84,6 +86,8 @@ class Graph:
                 )
         if validate:
             self._validate_structure(indptr, indices, n_nodes)
+            if not np.isfinite(weights).all():
+                raise GraphError("edge weights must be finite (no NaN or inf)")
         if x is not None:
             x = np.asarray(x, dtype=np.float64)
             if x.ndim != 2 or x.shape[0] != n_nodes:
@@ -94,6 +98,7 @@ class Graph:
             y = np.asarray(y)
             if y.shape != (n_nodes,):
                 raise ShapeError(f"y must be ({n_nodes},), got {y.shape}")
+            self._validate_labels(y)
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
@@ -118,6 +123,20 @@ class Graph:
             raise GraphError("indptr must be non-decreasing")
         if len(indices) and (indices.min() < 0 or indices.max() >= n):
             raise GraphError("indices contain node ids outside [0, n_nodes)")
+
+    @staticmethod
+    def _validate_labels(y: np.ndarray) -> None:
+        """Labels are class ids: integral and non-negative (``n_classes``
+        is ``max + 1``, so a fractional or negative id would miscount)."""
+        if y.dtype.kind == "b":
+            return
+        if y.dtype.kind not in "iu" and not (
+            y.dtype.kind == "f" and np.isfinite(y).all()
+            and np.array_equal(y, np.trunc(y))
+        ):
+            raise GraphError(f"labels must be integral class ids, got {y.dtype}")
+        if y.size and y.min() < 0:
+            raise GraphError(f"labels must be non-negative, got {y.min()}")
 
     def _validate_symmetry(self) -> None:
         adj = self.adjacency()

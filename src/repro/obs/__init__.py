@@ -16,9 +16,8 @@ channels:
   spoken by every cache, queue, and histogram in the library.
 * :mod:`repro.obs.logs` — ``repro.*`` logger hierarchy helpers.
 * :mod:`repro.obs.telemetry` — the cross-process plane: distributed
-  trace propagation, rank-aggregated metrics over shared memory,
-  Prometheus/JSON exporters, and SLO monitors (loaded lazily — see
-  below).
+  trace propagation, rank-aggregated metrics over shared memory, and
+  Prometheus/JSON exporters (loaded lazily — see below).
 
 Everything is off by default. :func:`configure` flips the process-global
 switch; instrumented hot paths guard on a **single attribute check**
@@ -203,7 +202,6 @@ def reset() -> None:
 _LAZY_ATTRS = {
     "telemetry": ("repro.obs.telemetry", None),
     "TraceContext": ("repro.obs.telemetry", "TraceContext"),
-    "SloMonitor": ("repro.obs.telemetry", "SloMonitor"),
     "ClusterMetrics": ("repro.obs.telemetry", "ClusterMetrics"),
 }
 
@@ -247,6 +245,5 @@ __all__ = [
     # lazy (PEP 562)
     "telemetry",
     "TraceContext",
-    "SloMonitor",
     "ClusterMetrics",
 ]

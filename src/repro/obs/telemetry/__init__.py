@@ -1,4 +1,4 @@
-"""Cross-process telemetry plane: traces, rank metrics, exporters, SLOs.
+"""Cross-process telemetry plane: traces, rank metrics, exporters.
 
 Everything in-process observability (:mod:`repro.obs`) measures stops at
 a process boundary; this subpackage is the part that crosses it:
@@ -12,9 +12,7 @@ a process boundary; this subpackage is the part that crosses it:
   metrics publication (:func:`publish_blob` / :func:`read_blob`) and the
   :class:`ClusterMetrics` merged view;
 * :mod:`~repro.obs.telemetry.export` — Prometheus text exposition and
-  structured-JSON exporters (+ the CI :func:`lint_prometheus` gate);
-* :mod:`~repro.obs.telemetry.slo` — declarative latency / error-budget
-  rules over sliding windows with burn-rate gauges and breach hooks.
+  structured-JSON exporters (+ the CI :func:`lint_prometheus` gate).
 
 The subpackage is imported explicitly (``import repro.obs.telemetry``);
 :mod:`repro.obs` deliberately does not pull it in at import time so the
@@ -43,12 +41,6 @@ from repro.obs.telemetry.export import (
     to_json,
     to_prometheus,
 )
-from repro.obs.telemetry.slo import (
-    SlidingWindow,
-    SloMonitor,
-    SloRule,
-    parse_rule,
-)
 from repro.obs.telemetry.spanlog import (
     SpanLogWriter,
     assemble_trace,
@@ -59,9 +51,6 @@ __all__ = [
     "META_CELLS",
     "METRICS_SEGMENT_BYTES",
     "ClusterMetrics",
-    "SlidingWindow",
-    "SloMonitor",
-    "SloRule",
     "SpanLogWriter",
     "TraceContext",
     "assemble_trace",
@@ -69,7 +58,6 @@ __all__ = [
     "encode_registry",
     "lint_prometheus",
     "new_trace_id",
-    "parse_rule",
     "parse_snapshot_key",
     "process_labels",
     "publish_blob",

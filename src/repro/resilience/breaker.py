@@ -178,21 +178,6 @@ class CircuitBreaker:
             self._failure_rate(), len(self._outcomes),
         )
 
-    def trip(self) -> None:
-        """Force the breaker open immediately (idempotent while open).
-
-        The pre-emptive path: an SLO monitor watching p99 latency or the
-        error budget trips the breaker *before* the failure-rate window
-        would — the normal cooldown → half-open → probe recovery then
-        applies unchanged.
-        """
-        with self._lock:
-            if self._state != OPEN:
-                _LOG.warning("breaker tripped externally (was %s)", self._state)
-                self._open()
-            else:
-                self._opened_at = self._clock()
-
     # ------------------------------------------------------------------ #
 
     def snapshot(self) -> dict[str, float]:

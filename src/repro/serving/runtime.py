@@ -100,13 +100,6 @@ class ServingRuntime:
         rows (``degraded=True``) instead of rejecting, when a stale row
         exists. ``False`` always rejects with
         :class:`~repro.errors.CircuitOpenError`.
-    slo_monitor:
-        Optional :class:`~repro.obs.telemetry.SloMonitor`; every
-        executed request's latency and outcome is recorded against it
-        (labelled ``model=<key>``), and it is registered as a stats
-        source under ``<source_prefix>.slo``. Pair its rules'
-        ``on_breach`` with :meth:`trip_breaker` to pre-emptively open a
-        model's circuit on a latency/error-budget violation.
     source_prefix:
         The :mod:`repro.obs` stats-source prefix this runtime registers
         under. Give each runtime of a multi-runtime deployment (e.g. the
@@ -125,7 +118,6 @@ class ServingRuntime:
         breaker_factory=CircuitBreaker,
         breaker_kwargs: dict | None = None,
         stale_fallback: bool = True,
-        slo_monitor=None,
         source_prefix: str = "serving.runtime",
         **engine_kwargs,
     ) -> None:
@@ -184,12 +176,9 @@ class ServingRuntime:
         self._batcher = threading.Thread(
             target=self._batcher_loop, name="repro-batcher", daemon=True
         )
-        self.slo_monitor = slo_monitor
         self.source_prefix = str(source_prefix)
         engine._runtime = self
         obs.register_source(self.source_prefix, self)
-        if slo_monitor is not None:
-            obs.register_source(f"{self.source_prefix}.slo", slo_monitor)
         self._batcher.start()
 
     # ------------------------------------------------------------------ #
@@ -212,50 +201,6 @@ class ServingRuntime:
             obs.OBS.registry.gauge("breaker.state").set(
                 STATE_CODES[breaker.state], model=model_key
             )
-
-    def trip_breaker(self, model_key: str | None = None) -> bool:
-        """Force a model's circuit open (``None`` = the default model).
-
-        The hook an :class:`~repro.obs.telemetry.SloMonitor` breach rule
-        calls: the breaker opens *before* the failure-rate window would
-        have, new requests degrade to stale answers or
-        :class:`~repro.errors.CircuitOpenError`, and the normal cooldown
-        → probe recovery applies. Returns ``False`` when circuit
-        breaking is disabled.
-        """
-        if model_key is None:
-            model_key = self.engine._resolve(None).key
-        breaker = self.breaker(model_key)
-        if breaker is None:
-            return False
-        breaker.trip()
-        with self._stats_lock:
-            self._tripped = True
-        self._publish_breaker(model_key, breaker)
-        _LOG.warning("breaker for model %r tripped externally", model_key)
-        return True
-
-    def _record_slo(
-        self,
-        batch: list[PredictRequest],
-        results: dict[int, ServeResult] | None,
-        model_key: str,
-    ) -> None:
-        """Feed one executed batch's outcomes to the SLO monitor."""
-        if self.slo_monitor is None:
-            return
-        if results is None:
-            for _ in batch:
-                self.slo_monitor.record(None, ok=False, model=model_key)
-            return
-        for request in batch:
-            result = results.get(request.request_id)
-            if result is not None:
-                self.slo_monitor.record(
-                    result.latency_s,
-                    ok=result.status == "ok",
-                    model=model_key,
-                )
 
     def _stale_result(
         self, record: ServedModel, node_id: int, t0: float
@@ -526,7 +471,6 @@ class ServingRuntime:
                             "batch of %d failed after %d retry(ies): %s",
                             len(batch), retries_done, exc,
                         )
-                    self._record_slo(batch, None, model_key)
                     self._resolve_futures(batch, None, exc)
                     return
                 retries_done += 1
@@ -540,7 +484,6 @@ class ServingRuntime:
                 if breaker is not None and not breaker.allow():
                     # The breaker opened while we were backing off —
                     # stop hammering and surface the last failure.
-                    self._record_slo(batch, None, model_key)
                     self._resolve_futures(batch, None, exc)
                     return
         if breaker is not None:
@@ -555,7 +498,6 @@ class ServingRuntime:
                     )
         with self._stats_lock:
             self.batches_executed += 1
-        self._record_slo(batch, results, model_key)
         self._resolve_futures(batch, results, None)
 
     def _batch_remaining_s(self, batch: list[PredictRequest]) -> float | None:

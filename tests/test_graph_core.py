@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from repro.errors import GraphError, ShapeError
 from repro.graph import Graph
+from repro.graph.io import load_edge_list
 
 
 class TestConstruction:
@@ -70,6 +71,40 @@ class TestConstruction:
     def test_label_shape_validated(self):
         with pytest.raises(ShapeError):
             Graph.from_edges([(0, 1)], 2, y=np.zeros(3, dtype=int))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad, tmp_path):
+        # NaN compares false, so the symmetry check alone let it through.
+        with pytest.raises(GraphError, match="finite"):
+            Graph.from_edges([(0, 1), (1, 2)], 3, weights=[bad, 1.0])
+        path = tmp_path / "edges.txt"
+        path.write_text(f"0 1 {bad}\n1 2 1.0\n", encoding="utf-8")
+        with pytest.raises(GraphError, match="finite"):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize("y", [
+        [0.5, 1.0, 2.0],        # fractional
+        [-1, 1, 2],             # negative
+        [-1.0, 0.0, 1.0],       # negative integral float
+        [np.nan, 0.0, 1.0],     # NaN
+        [np.inf, 0.0, 1.0],     # inf
+        ["a", "b", "c"],        # not numeric
+    ])
+    def test_malformed_labels_rejected(self, y):
+        with pytest.raises(GraphError, match="labels"):
+            Graph.from_edges([(0, 1), (1, 2)], 3, y=y)
+        with pytest.raises(GraphError, match="labels"):
+            Graph.from_edges([(0, 1), (1, 2)], 3).with_data(y=np.asarray(y))
+
+    @pytest.mark.parametrize("y, n_classes", [
+        ([0, 2, 1], 3),
+        (np.array([0, 2, 1], dtype=np.uint8), 3),
+        ([0.0, 2.0, 1.0], 3),   # integral floats, as F.cross_entropy takes
+        ([True, False, True], 2),
+    ])
+    def test_integral_labels_accepted(self, y, n_classes):
+        graph = Graph.from_edges([(0, 1), (1, 2)], 3, y=y)
+        assert graph.n_classes == n_classes
 
     def test_arrays_immutable(self, triangle):
         with pytest.raises(ValueError):

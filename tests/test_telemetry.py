@@ -1,5 +1,5 @@
 """Tests for repro.obs.telemetry: cross-process trace propagation,
-kill-safe rank-aggregated metrics, exporters, and SLO monitors.
+kill-safe rank-aggregated metrics, and exporters.
 
 The cross-process tests use the explicit ``spawn`` start method through
 :class:`repro.distributed.ProcessBackend` with ``telemetry=True`` and
@@ -20,15 +20,12 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.obs.telemetry import (
     ClusterMetrics,
     METRICS_SEGMENT_BYTES,
-    SlidingWindow,
-    SloMonitor,
     SpanLogWriter,
     TraceContext,
     assemble_trace,
     decode_payload,
     encode_registry,
     lint_prometheus,
-    parse_rule,
     parse_snapshot_key,
     publish_blob,
     qualified_span_id,
@@ -37,7 +34,6 @@ from repro.obs.telemetry import (
     to_json,
     to_prometheus,
 )
-from repro.resilience import CircuitBreaker
 from repro.utils.timer import LatencyHistogram
 
 RUN_TIMEOUT_S = 120.0
@@ -382,148 +378,6 @@ class TestExporters:
         }
         assert by_name[("router.requests", (("shard", "2"),))] == 7.0
         assert by_name[("training.test_accuracy", ())] == 0.84
-
-
-# ---------------------------------------------------------------------- #
-# SLO rules, sliding windows, monitors
-# ---------------------------------------------------------------------- #
-
-
-class TestSloRules:
-    def test_grammar_accepts_and_scales_units(self):
-        rule = parse_rule("p99 < 50ms")
-        assert rule.metric == "latency"
-        assert rule.percentile == 99.0
-        assert rule.threshold == pytest.approx(0.05)
-        assert parse_rule("p50 <= 2s").threshold == 2.0
-        assert parse_rule("p99.9 < 100us").threshold == pytest.approx(1e-4)
-        assert parse_rule("error_rate < 1%").threshold == pytest.approx(0.01)
-        assert parse_rule("error_rate < 0.25").threshold == 0.25
-
-    @pytest.mark.parametrize("expr", [
-        "p99 > 5ms",          # only < / <= objectives
-        "latency < 5ms",      # unknown metric
-        "p99 < 5 minutes",    # unknown unit
-        "p200 < 5ms",         # impossible percentile
-        "p99 < 5%",           # % is error_rate-only
-        "error_rate < 150%",  # out of [0, 1]
-        "error_rate < 2ms",   # latency unit on a rate
-    ])
-    def test_grammar_rejects(self, expr):
-        with pytest.raises(ConfigError):
-            parse_rule(expr)
-
-    def test_rule_name_stays_label_block_safe(self):
-        rule = parse_rule("p99 < 5ms", labels={"model": "m", "shard": "2"})
-        name = rule.name()
-        assert "," not in name and "=" not in name
-        # Embedded in a snapshot key, the name must round-trip.
-        _, labels = parse_snapshot_key(f"breached{{rule={name}}}")
-        assert labels == {"rule": name}
-
-
-class TestSlidingWindow:
-    def test_expiry_via_injected_clock(self):
-        now = [0.0]
-        window = SlidingWindow(window_s=6.0, buckets=3, clock=lambda: now[0])
-        window.record(0.010, ok=True)
-        now[0] = 3.0
-        window.record(0.020, ok=False)
-        assert window.totals() == (1, 1)
-        assert window.histogram().count == 2
-        now[0] = 7.5  # first bucket expired, second still live
-        assert window.totals() == (0, 1)
-        assert window.histogram().count == 1
-        now[0] = 30.0  # everything expired
-        assert window.totals() == (0, 0)
-
-
-class TestSloMonitor:
-    def _monitor(self):
-        now = [0.0]
-        monitor = SloMonitor(
-            window_s=60.0, clock=lambda: now[0], evaluate_every=10**9
-        )
-        return monitor, now
-
-    def test_breach_is_edge_triggered(self):
-        monitor, _ = self._monitor()
-        fired = []
-        rule = monitor.add_rule(
-            "p99 < 1ms",
-            on_breach=lambda r, observed: fired.append(observed),
-            min_samples=3,
-        )
-        for _ in range(5):
-            monitor.record(0.5)
-        assert [r.name() for r in monitor.evaluate()] == [rule.name()]
-        assert len(fired) == 1 and fired[0] > 0.001
-        # Still in breach: no re-fire.
-        assert monitor.evaluate() == []
-        assert rule.breach_count == 1
-        assert monitor.burn_rate(rule) > 1.0
-
-    def test_add_rule_attaches_hook_to_prebuilt_rule(self):
-        # on_breach must bind to SloRule objects too, not only to the
-        # string-parse path (it was silently dropped there once).
-        monitor, _ = self._monitor()
-        fired = []
-        rule = parse_rule("p99 < 1ms")
-        monitor.add_rule(rule, on_breach=lambda r, obs_v: fired.append(obs_v))
-        for _ in range(5):
-            monitor.record(0.5)
-        assert [r.name() for r in monitor.evaluate()] == [rule.name()]
-        assert len(fired) == 1 and fired[0] > 0.001
-
-    def test_error_rate_rule_with_label_scope(self):
-        monitor, _ = self._monitor()
-        rule = monitor.add_rule(
-            "error_rate < 10%", labels={"model": "a"}, min_samples=5
-        )
-        for _ in range(8):
-            monitor.record(0.001, ok=True, model="a")
-        for _ in range(4):
-            monitor.record(0.001, ok=False, model="a")
-        # Records outside the scope never count against the rule.
-        for _ in range(50):
-            monitor.record(0.001, ok=False, model="b")
-        assert monitor.evaluate() == [rule]
-        assert monitor.burn_rate(rule) == pytest.approx((4 / 12) / 0.10)
-
-    def test_hook_failure_never_raises(self):
-        monitor, _ = self._monitor()
-
-        def bad_hook(rule, observed):
-            raise RuntimeError("boom")
-
-        monitor.add_rule("p99 < 1ms", on_breach=bad_hook, min_samples=1)
-        monitor.record(0.5)
-        assert len(monitor.evaluate()) == 1  # breach recorded, no raise
-
-    def test_breach_trips_circuit_breaker(self):
-        monitor, _ = self._monitor()
-        breaker = CircuitBreaker(cooldown_s=10.0)
-        monitor.add_rule(
-            "p99 < 1ms",
-            on_breach=lambda r, o: breaker.trip(),
-            min_samples=1,
-        )
-        assert breaker.state == "closed"
-        monitor.record(0.5)
-        monitor.evaluate()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_snapshot_keys_parse_back(self):
-        monitor, _ = self._monitor()
-        monitor.add_rule("p99 < 1ms", min_samples=1)
-        monitor.record(0.5)
-        snap = monitor.snapshot()
-        breached = [k for k in snap if k.startswith("breached{")]
-        assert len(breached) == 1
-        name, labels = parse_snapshot_key(breached[0])
-        assert name == "breached" and "rule" in labels
-        assert snap[breached[0]] == 1.0
 
 
 # ---------------------------------------------------------------------- #

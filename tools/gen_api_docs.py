@@ -43,12 +43,10 @@ One `ShmArena` per run; segments are named `repro-dist-<pid>-<run>-<key>`:
 |---|---|---|
 | `x`, `y`, `train-mask` | full feature matrix / labels / train mask | coordinator, once |
 | `s<p>-indptr/indices/weights` | shard `p`'s local CSR | coordinator, once |
-| `s<p>-owned/ghosts/send-*/recv-*` | shard `p`'s halo index maps | coordinator, once |
-| `halo-<p>-<q>` (+`-round`) | one feature row per cross arc `p`→`q` | worker `p`, per round |
+| `s<p>-owned/ghosts` | shard `p`'s owned and ghost global ids | coordinator, once |
 | `params` (+`params-round`) | flattened averaged parameters | coordinator, per round |
 | `state-<p>` (+`state-meta-<p>`) | worker `p`'s flattened parameters, `(round, n_train, failed, generation)` | worker `p`, per round |
-| `done-<p>` | final counter block (halo floats, attach stats, faults) | worker `p`, once |
-| `alive` | one liveness byte per rank | coordinator |
+| `done-<p>` | final counter block (steps, faults, syncs, attach stats) | worker `p`, once |
 | `lease-<p>` | worker `p`'s heartbeat lease cell (supervised runs only) | worker `p`, per beat |
 
 ### Kill-safe round-cell protocol
@@ -57,11 +55,15 @@ Every per-round channel is a preallocated payload buffer plus an
 `int64[1]` **round cell**: the writer fills the payload first and
 advances the cell last; a reader that observes round `r` therefore
 holds a complete round-`r` payload. A killed writer can only leave an
-un-advanced cell behind — never a torn message — and waiters detect it
-via the `alive` array and degrade (stale ghost rows, survivor-
-renormalised averaging) instead of blocking. This is why the control
-plane is shared memory rather than `mp.Queue`: a worker killed
-mid-`put` of a multi-page pickle wedges every subsequent reader.
+un-advanced cell behind — never a torn message — and the coordinator's
+`Supervisor` detects the dead process and evicts it (survivor-
+renormalised averaging) or respawns it. Workers wait only on the
+coordinator's `params-round` cell, never on a peer: input features
+never change, so a round ships no feature row, and each worker's
+one-time gather of its owned and ghost rows is the only feature traffic
+(`copied_bytes` = Σ_p n_local_p·(d+1)·8 in an unfaulted run). This is
+why the control plane is shared memory rather than `mp.Queue`: a worker
+killed mid-`put` of a multi-page pickle wedges every subsequent reader.
 
 ### Lease-cell layout
 
@@ -175,23 +177,6 @@ cluster p99 comes from merged buckets, never averaged percentiles.
   its `parent_id` names; spans whose parent never made it to disk
   reattach under the trace root with `reattached=True` instead of
   being dropped.
-
-### SLO rule grammar
-
-```
-rule      := metric ws? op ws? value unit?
-metric    := "p" quantile | "error_rate"        (e.g. p50, p99, p99.9)
-op        := "<" | "<="
-unit      := "ns" | "us" | "ms" | "s" | "%"     (% only for error_rate)
-```
-
-Examples: `p99 < 50ms`, `p99.9 <= 1s`, `error_rate < 1%`. Latency
-values normalise to seconds, `%` to a 0..1 fraction. Breach hooks are
-edge-triggered and receive `(rule, observed)`; hook exceptions are
-caught and logged — monitoring must never take down the monitored
-service. The serving wiring points the hook at
-`CircuitBreaker.trip()`, closing the loop from SLO burn to
-load-shedding.
 
 ### Exporter formats
 
