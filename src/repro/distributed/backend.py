@@ -597,7 +597,7 @@ class _Coordinator:
             arena.view(f"state-meta-{p}", writable=True) for p in range(n)
         ]
         self.states = [arena.view(f"state-{p}") for p in range(n)]
-        self.dones = [arena.view(f"done-{p}") for p in range(n)]
+        self.dones = [arena.view(f"done-{p}", writable=True) for p in range(n)]
         return handles
 
     def _launch(self, handles: list[dict]) -> None:
@@ -718,8 +718,7 @@ class _Coordinator:
                     continue
                 counters = dict(zip(DONE_FIELDS, self.dones[rank][1:]))
                 self.totals["straggler_events"] += counters["stragglers"]
-                for key in self.attach_stats:
-                    self.attach_stats[key] += counters[key]
+                self._fold_attach(rank)
                 reported.add(rank)
             # A rank that died before its report is evicted (or, with a
             # lease plane, respawned: the successor resumes past every
@@ -823,12 +822,22 @@ class _Coordinator:
         proc.start()
         return proc
 
+    def _fold_attach(self, rank: int) -> None:
+        """Move ``rank``'s done-block attach counters into ``attach_stats``
+        (zeroing them, so no incarnation counts twice)."""
+        done = self.dones[rank]
+        for key in self.attach_stats:
+            slot = 1 + DONE_FIELDS.index(key)
+            self.attach_stats[key] += int(done[slot])
+            done[slot] = 0
+
     def _relaunch(self, rank: int, generation: int):
         # The previous incarnation is confirmed dead by the supervisor
         # before this runs, so wiping its round cell races nothing:
-        # whatever it last published is void, and the successor is the
-        # segment's only writer from here on.
+        # whatever it last published is void (its gather still counts),
+        # and the successor is the segments' only writer from here on.
         self.metas[rank][META_ROUND] = -1
+        self._fold_attach(rank)
         spec = dataclasses.replace(
             self.specs[rank], generation=generation, resume=True
         )
@@ -840,6 +849,7 @@ class _Coordinator:
             return
         self.expected.discard(rank)
         self.totals["workers_lost"] += 1
+        self._fold_attach(rank)  # killed first by the supervisor
         if self.cluster is not None:
             self.cluster.mark_dead(rank)
         _LOG.warning("worker %d lost (%s)", rank, why)

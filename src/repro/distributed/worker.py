@@ -460,8 +460,11 @@ class _Worker:
         Resume checkpoint step ``s`` holds the state *after completing
         round s-1* (step 0 = the shared starting point); a respawned
         incarnation loading step ``s`` re-enters the loop at round ``s``.
+        The counters go into the done block (flag still 0) right after
+        the local gather, so the gather counts even if this incarnation dies.
         """
         self._build()
+        self._write_counters()
         ckpt = self.resume_ckpt
         if self.spec.resume and ckpt is not None and ckpt.steps():
             # Fenced rejoin: restore the pre-crash incarnation's exact
@@ -529,12 +532,15 @@ class _Worker:
 
     def report(self) -> None:
         """Publish the final counter block, done flag last."""
-        self.counters.update(self.segs.stats())
-        # Final flush AND publish before the done flag: the attach
-        # accounting only lands in the counters here.
+        self._write_counters()
+        # Final flush AND publish before the done flag.
         self.publish_telemetry(seq=self.spec.epochs + 1)
-        self.done_block[1:] = [self.counters[name] for name in DONE_FIELDS]
         self.done_block[0] = 1  # publish last
+
+    def _write_counters(self) -> None:
+        """Counters and attach accounting into the done block's slots."""
+        self.counters.update(self.segs.stats())
+        self.done_block[1:] = [self.counters[name] for name in DONE_FIELDS]
 
     def close(self) -> None:
         if self.beat_stop is not None:

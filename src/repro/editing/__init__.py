@@ -32,7 +32,6 @@ from repro.editing.sampling import (
     Block,
     BlockSampler,
     LaborSampler,
-    LayerSample,
     LayerSampler,
     NeighborSampler,
     compact_layer,
@@ -70,7 +69,6 @@ __all__ = [
     "unifews_layer_operators",
     "Block",
     "BlockSampler",
-    "LayerSample",
     "compact_layer",
     "NeighborSampler",
     "LayerSampler",

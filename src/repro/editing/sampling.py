@@ -26,8 +26,10 @@ self-features cheaply. Blocks are returned input-layer first.
 
 Internally every block sampler follows the GraphBolt-style two-step
 contract the streaming datapipe (:mod:`repro.training.datapipe`) chains
-per hop: :meth:`BlockSampler.sample_layer` draws the raw edges of one
-layer as a :class:`LayerSample` (global column ids, no dedup), and
+per hop: :meth:`BlockSampler.sample_layer` draws one layer as a
+``(len(dst), n_nodes)`` CSR row block over global column ids (no dedup;
+the type of the exact rows ``adj[dst]``, which
+:meth:`repro.models.GraphSAGE.frontiers` compacts the same way), and
 :func:`compact_layer` dedups the referenced sources into a
 :class:`Block` whose ``src_ids`` seed the next layer. ``sample()`` is the
 convenience loop over both. Zero-degree destinations are never dropped:
@@ -39,8 +41,8 @@ work per destination or per arc (a prefetch thread cannot get ahead of a
 GIL-bound producer). The node-wise samplers gather whole CSR slices
 through one ``repeat``/``arange`` index; :class:`NeighborSampler` draws
 the ``fanout``-subsets of all high-degree rows together (Floyd's algorithm
-looped over ``fanout``, not over nodes); :func:`compact_layer` dedups by
-scattering positions into a per-call id table instead of sorting. The
+looped over ``fanout``, not over nodes); :func:`compact_layer` dedups
+without sorting and keeps each row's stored (drawn) order. The
 per-element loops they replaced are the oracles in
 ``tests/reference_samplers.py``.
 """
@@ -54,12 +56,12 @@ import scipy.sparse as sp
 
 from repro.errors import ConfigError, GraphError
 from repro.graph.core import Graph
+from repro.graph.traversal import append_new, neighbors_of, segment_arange
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_int_range
+from repro.utils.validation import check_int_range, check_node_ids
 
 __all__ = [
     "Block",
-    "LayerSample",
     "BlockSampler",
     "compact_layer",
     "NeighborSampler",
@@ -105,83 +107,24 @@ class Block:
         return len(self.dst_ids)
 
 
-@dataclass(frozen=True)
-class LayerSample:
-    """Raw edges of one sampled layer, before source compaction.
-
-    Columns are *global* node ids and may repeat across rows — the output
-    of a per-layer sampling step, the input of :func:`compact_layer`.
-    This is the handoff object between the ``Sampler`` and
-    ``CompactPerLayer`` stages of the streaming datapipe.
-    """
-
-    rows: np.ndarray
-    cols_global: np.ndarray
-    vals: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return len(self.rows)
-
-
-def compact_layer(dst_ids: np.ndarray, layer: LayerSample) -> Block:
+def compact_layer(dst_ids: np.ndarray, layer: sp.csr_matrix) -> Block:
     """Dedup a raw layer's sources into a :class:`Block`.
 
+    ``layer`` is a CSR row block over global column ids, one row per dst
+    (a :meth:`~BlockSampler.sample_layer`, or exact rows ``adj[dst_ids]``).
     ``src_ids`` is ``dst_ids`` (prefix) plus every newly referenced global
-    id in first-appearance order; global columns are rewritten to local
-    indices. The cross-hop dedup step: feeding ``block.src_ids`` to the
-    next layer's sampler means a node referenced by many destinations is
-    sampled (and its features fetched) once.
-
-    Sort-free and stateless (a prefetch thread runs it): positions are
-    scattered into an id-indexed table allocated per call. NumPy applies
-    the repeated indices of one assignment in order, the last value
-    staying, so scattering in reverse leaves each id's *first* position.
+    id in first-appearance order (:func:`~repro.graph.traversal.append_new`);
+    columns become local indices, each row keeping its stored order. The
+    cross-hop dedup step: feeding ``block.src_ids`` to the next layer's
+    sampler means a node referenced by many destinations is sampled (and
+    its features fetched) once.
     """
     dst_ids = np.asarray(dst_ids, dtype=np.int64)
-    cols_global = np.asarray(layer.cols_global, dtype=np.int64)
-    if min(dst_ids.min(initial=0), cols_global.min(initial=0)) < 0:
-        raise GraphError("node ids must be non-negative")
-    n_dst, at = len(dst_ids), np.arange(len(cols_global))
-    table = np.empty(
-        max(dst_ids.max(initial=-1), cols_global.max(initial=-1)) + 1,
-        dtype=np.int64,
-    )
-    table[cols_global[::-1]] = n_dst + at[::-1]
-    table[dst_ids] = np.arange(n_dst)
-    # A dst id now maps to its index, any other to n_dst + first position.
-    new_ids = cols_global[table[cols_global] == n_dst + at]
-    table[new_ids] = n_dst + np.arange(len(new_ids))
-    src_ids = np.concatenate([dst_ids, new_ids])
+    src_ids, local = append_new(dst_ids, layer.indices)
     matrix = sp.csr_matrix(
-        (layer.vals, (layer.rows, table[cols_global])),
-        shape=(n_dst, len(src_ids)),
+        (layer.data, local, layer.indptr), shape=(len(dst_ids), len(src_ids))
     )
     return Block(src_ids, dst_ids, matrix)
-
-
-def _check_node_ids(ids, n_nodes: int) -> np.ndarray:
-    """``ids`` as a 1-D int64 array inside ``[0, n_nodes)``.
-
-    Fancy indexing would wrap a negative id through ``indptr[-1]`` and an
-    int64 cast would truncate a float, so both are rejected at the edge.
-    """
-    ids = np.asarray(ids)
-    if ids.ndim != 1:
-        raise GraphError(f"node ids must be one-dimensional, got shape {ids.shape}")
-    if ids.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if ids.dtype.kind not in "iu":
-        raise GraphError(f"node ids must be integers, got dtype {ids.dtype}")
-    if ids.min() < 0 or ids.max() >= n_nodes:
-        raise GraphError(f"node ids outside [0, {n_nodes})")
-    return ids.astype(np.int64, copy=False)
-
-
-def _segment_arange(counts: np.ndarray) -> np.ndarray:
-    """``[0..c_0), [0..c_1), ...`` concatenated: every element's offset
-    inside its own segment of a ragged expansion."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _emit_layer(
@@ -190,16 +133,18 @@ def _emit_layer(
     n_out: np.ndarray,
     neighbours: np.ndarray,
     weight: np.ndarray,
-) -> LayerSample:
-    """Rows grouped by destination: ``n_out[i]`` arcs of ``weight[i]`` each.
+    n_nodes: int,
+) -> sp.csr_matrix:
+    """Row ``i`` holds ``n_out[i]`` arcs of ``weight[i]`` each.
 
     ``neighbours`` fills the connected rows in order; an isolated one
     (``n_out`` 1, ``weight`` 1.0) keeps its own id as the only source.
     """
     cols = np.repeat(dst, n_out)
     cols[np.repeat(~isolated, n_out)] = neighbours
-    return LayerSample(
-        np.repeat(np.arange(len(dst)), n_out), cols, np.repeat(weight, n_out)
+    indptr = np.concatenate([[0], np.cumsum(n_out)])
+    return sp.csr_matrix(
+        (np.repeat(weight, n_out), cols, indptr), shape=(len(dst), n_nodes)
     )
 
 
@@ -223,24 +168,24 @@ def _draw_subsets(rng: np.random.Generator, sizes: np.ndarray, k: int) -> np.nda
 class BlockSampler:
     """Base of the block samplers: the shared sample→compact layer loop.
 
-    Subclasses implement :meth:`sample_layer` (one layer's raw edges) and
-    expose ``n_layers``; :meth:`sample` interleaves sampling with
-    :func:`compact_layer` — layer ``k+1``'s destinations are layer ``k``'s
-    deduped sources. ``layer`` indexes *sampling order*: 0 is the output
-    (seed-facing) layer, ``n_layers - 1`` the input layer. The streaming
-    datapipe chains the same two primitives as separate stages, so the
-    direct ``sample()`` path and the datapipe path are bit-identical
-    given the same RNG stream.
+    Subclasses implement :meth:`sample_layer` (one layer's CSR row block
+    over global column ids) and expose ``n_layers``; :meth:`sample`
+    interleaves sampling with :func:`compact_layer` — layer ``k+1``'s
+    destinations are layer ``k``'s deduped sources. ``layer`` indexes
+    *sampling order*: 0 is the output (seed-facing) layer, ``n_layers - 1``
+    the input layer. The streaming datapipe chains the same two primitives
+    as separate stages, so the direct ``sample()`` path and the datapipe
+    path are bit-identical given the same RNG stream.
     """
 
     graph: Graph
     n_layers: int
 
-    def sample_layer(self, dst: np.ndarray, layer: int) -> LayerSample:
+    def sample_layer(self, dst: np.ndarray, layer: int) -> sp.csr_matrix:
         raise NotImplementedError
 
     def sample(self, seeds: np.ndarray) -> list[Block]:
-        dst = _check_node_ids(seeds, self.graph.n_nodes)
+        dst = check_node_ids(seeds, self.graph.n_nodes)
         blocks: list[Block] = []
         for layer in range(self.n_layers):
             raw = self.sample_layer(dst, layer)
@@ -275,19 +220,21 @@ class NeighborSampler(BlockSampler):
     def n_layers(self) -> int:
         return len(self.fanouts)
 
-    def sample_layer(self, dst: np.ndarray, layer: int) -> LayerSample:
+    def sample_layer(self, dst: np.ndarray, layer: int) -> sp.csr_matrix:
         fanout = self.fanouts[-1 - layer]
-        dst = _check_node_ids(dst, self.graph.n_nodes)
+        dst = check_node_ids(dst, self.graph.n_nodes)
         start = self.graph.indptr[dst]
         deg = self.graph.indptr[dst + 1] - start
         take = np.minimum(deg, fanout)
-        offset = _segment_arange(take)  # the whole slice when deg <= fanout
+        offset = segment_arange(take)  # the whole slice when deg <= fanout
         big = np.flatnonzero(deg > fanout)
         slots = (np.cumsum(take) - take)[big, None] + np.arange(fanout)
         offset[slots] = _draw_subsets(self._rng, deg[big], fanout)
         neighbours = self.graph.indices[np.repeat(start, take) + offset]
         n_out = np.maximum(take, 1)
-        return _emit_layer(dst, deg == 0, n_out, neighbours, 1.0 / n_out)
+        return _emit_layer(
+            dst, deg == 0, n_out, neighbours, 1.0 / n_out, self.graph.n_nodes
+        )
 
 
 class LaborSampler(BlockSampler):
@@ -322,14 +269,13 @@ class LaborSampler(BlockSampler):
     def n_layers(self) -> int:
         return len(self.fanouts)
 
-    def sample_layer(self, dst: np.ndarray, layer: int) -> LayerSample:
+    def sample_layer(self, dst: np.ndarray, layer: int) -> sp.csr_matrix:
         fanout = self.fanouts[-1 - layer]
-        dst = _check_node_ids(dst, self.graph.n_nodes)
-        start = self.graph.indptr[dst]
-        deg = self.graph.indptr[dst + 1] - start
+        dst = check_node_ids(dst, self.graph.n_nodes)
+        deg = self.graph.indptr[dst + 1] - self.graph.indptr[dst]
         connected = deg > 0
         row = np.repeat(np.arange(len(dst)), deg)
-        neigh = self.graph.indices[np.repeat(start, deg) + _segment_arange(deg)]
+        neigh = neighbors_of(self.graph.indptr, self.graph.indices, dst)
         # One shared variate per distinct candidate source in this layer.
         candidates, which = np.unique(neigh, return_inverse=True)
         r = self._rng.random(len(candidates))[which]
@@ -347,7 +293,9 @@ class LaborSampler(BlockSampler):
             kept[starved] = 1
         n_out = np.where(connected, kept, 1)
         weight = 1.0 / (np.maximum(deg, 1) * c)
-        return _emit_layer(dst, ~connected, n_out, neigh[keep], weight)
+        return _emit_layer(
+            dst, ~connected, n_out, neigh[keep], weight, self.graph.n_nodes
+        )
 
 
 class LayerSampler(BlockSampler):
@@ -373,17 +321,16 @@ class LayerSampler(BlockSampler):
         deg = graph.degrees() + 1.0
         self._q = deg / deg.sum()
 
-    def sample_layer(self, dst: np.ndarray, layer: int) -> LayerSample:
+    def sample_layer(self, dst: np.ndarray, layer: int) -> sp.csr_matrix:
         m = self.n_per_layer
-        dst = _check_node_ids(dst, self.graph.n_nodes)
+        dst = check_node_ids(dst, self.graph.n_nodes)
         sampled = self._rng.choice(self.graph.n_nodes, size=m, p=self._q)
         uniq, counts = np.unique(sampled, return_counts=True)
-        sub = self._ahat[dst][:, uniq].tocoo()
+        sub = self._ahat[dst][:, uniq]
         scale = counts / (m * self._q[uniq])
-        return LayerSample(
-            sub.row.astype(np.int64),
-            uniq[sub.col].astype(np.int64),
-            (sub.data * scale[sub.col]).astype(np.float64),
+        return sp.csr_matrix(
+            (sub.data * scale[sub.indices], uniq[sub.indices], sub.indptr),
+            shape=(len(dst), self.graph.n_nodes),
         )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import GraphError, NotFittedError
+from repro.errors import NotFittedError
 from repro.graph.core import Graph
 from repro.graph.traversal import k_hop_neighborhood
 from repro.utils.rng import as_rng
@@ -26,11 +26,10 @@ def ego_subgraph(graph: Graph, node: int, k: int) -> tuple[np.ndarray, Graph]:
     """The induced ``k``-hop ego network of ``node``.
 
     Returns ``(global node ids, induced subgraph)``; the centre node is
-    always included.
+    always included. A bad ``node`` id (float, bool, out of range) is a
+    :class:`~repro.errors.GraphError`.
     """
     check_int_range("k", k, 0)
-    if not 0 <= node < graph.n_nodes:
-        raise GraphError(f"node {node} outside [0, {graph.n_nodes})")
     nodes = k_hop_neighborhood(graph, [node], k)
     return nodes, graph.subgraph(nodes)
 

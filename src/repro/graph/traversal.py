@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.core import Graph
+from repro.utils.validation import check_node_ids
 
 UNREACHED = -1
 
@@ -27,8 +28,7 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     level = 0
     while len(frontier):
         level += 1
-        neigh = np.concatenate([graph.neighbors(u) for u in frontier])
-        neigh = np.unique(neigh)
+        neigh = np.unique(neighbors_of(graph.indptr, graph.indices, frontier))
         fresh = neigh[dist[neigh] == UNREACHED]
         dist[fresh] = level
         frontier = fresh
@@ -112,24 +112,66 @@ def connected_components(graph: Graph) -> np.ndarray:
     return comp
 
 
+def segment_arange(counts: np.ndarray) -> np.ndarray:
+    """Each element's offset in its segment: ``[0..c_0), [0..c_1), ...``."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def neighbors_of(indptr: np.ndarray, indices: np.ndarray, nodes) -> np.ndarray:
+    """The CSR rows of ``nodes`` concatenated, in one vectorised gather."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    starts = indptr[nodes]
+    lengths = indptr[nodes + 1] - starts
+    return indices[np.repeat(starts, lengths) + segment_arange(lengths)]
+
+
+def append_new(known: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``known`` + the new ``ids`` (first seen first), and each id's position.
+
+    Sort-free and stateless (a prefetch thread runs it): positions are
+    scattered into an id-indexed table allocated per call. NumPy applies
+    the repeated indices of one assignment in order, the last value
+    staying, so scattering in reverse leaves each id's *first* position.
+    Negative ids (which would wrap) raise :class:`GraphError`.
+    """
+    known, ids = np.asarray(known, np.int64), np.asarray(ids, np.int64)
+    if min(known.min(initial=0), ids.min(initial=0)) < 0:
+        raise GraphError("node ids must be non-negative")
+    n_known, at = len(known), np.arange(len(ids))
+    table = np.empty(max(known.max(initial=-1), ids.max(initial=-1)) + 1, np.int64)
+    table[ids[::-1]] = n_known + at[::-1]
+    table[known] = np.arange(n_known)
+    # A known id now maps to its index, any other to n_known + first position.
+    new = ids[table[ids] == n_known + at]
+    table[new] = n_known + np.arange(len(new))
+    return np.concatenate([known, new]), table[ids]
+
+
+def expand(indptr: np.ndarray, indices: np.ndarray, seeds, k: int) -> list[np.ndarray]:
+    """``k + 1`` hop levels, each a prefix of the next.
+
+    Level 0 is ``seeds`` as given; level ``j`` appends the ids first
+    reached at hop ``j``, in order of first appearance in the CSR rows of
+    hop ``j - 1``'s new ids, so ``set(level j)`` is every node within
+    ``j`` hops of a seed.
+    """
+    levels = [np.asarray(seeds, dtype=np.int64)]
+    frontier = levels[0]
+    for _ in range(k):
+        level, _ = append_new(levels[-1], neighbors_of(indptr, indices, frontier))
+        frontier = level[len(levels[-1]):]
+        levels.append(level)
+    return levels
+
+
 def k_hop_neighborhood(
     graph: Graph, seeds: np.ndarray | list[int], k: int
 ) -> np.ndarray:
     """All nodes within ``k`` hops of any seed (seeds included), sorted.
 
     The size of this set as a function of ``k`` is exactly the
-    "neighborhood explosion" quantity of §3.1.3.
+    "neighborhood explosion" quantity of §3.1.3. Seeds must be a 1-D
+    integer array of ids in ``[0, n_nodes)``, else :class:`GraphError`.
     """
-    seeds = np.asarray(seeds, dtype=np.int64)
-    reached = np.zeros(graph.n_nodes, dtype=bool)
-    reached[seeds] = True
-    frontier = np.unique(seeds)
-    for _ in range(k):
-        if not len(frontier):
-            break
-        neigh = np.concatenate([graph.neighbors(u) for u in frontier])
-        neigh = np.unique(neigh)
-        fresh = neigh[~reached[neigh]]
-        reached[fresh] = True
-        frontier = fresh
-    return np.flatnonzero(reached)
+    seeds = np.unique(check_node_ids(seeds, graph.n_nodes))
+    return np.sort(expand(graph.indptr, graph.indices, seeds, k)[-1])

@@ -20,13 +20,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ConfigError, ShapeError
-from repro.editing.sampling import Block, _check_node_ids
+from repro.editing.sampling import Block, compact_layer
 from repro.graph.core import Graph
 from repro.graph.ops import normalized_adjacency
 from repro.tensor import functional as F
 from repro.tensor.autograd import Tensor, spmm
 from repro.tensor.nn import Dropout, Linear, Module
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_node_ids
 
 # Rows per GEMM call in exact inference. BLAS picks its kernel, thread
 # split and tail handling from the operand shapes, so ``(x @ w)[r]`` is not
@@ -149,11 +150,11 @@ class GraphSAGE(Module):
 
         The last layer's set is ``rows``; each earlier set is the next one
         followed by its in-neighbours (columns of ``adj_rw``) not already
-        in it, sorted. Every set is therefore a prefix of the one before
-        it. Invalid ``rows`` raise :class:`~repro.errors.GraphError`.
+        in it, in first-appearance order: a prefix of the one before it.
+        Invalid ``rows`` raise :class:`~repro.errors.GraphError`.
         """
         adj = adj_rw.tocsr()
-        plan = self._plan(adj, _check_node_ids(rows, adj.shape[0]))
+        plan = self._plan(adj, check_node_ids(rows, adj.shape[0]))
         return [dst for dst, _ in plan]
 
     def _plan(
@@ -161,31 +162,20 @@ class GraphSAGE(Module):
     ) -> list[tuple[np.ndarray, sp.csr_matrix]]:
         """``(dst ids, operator)`` per layer, input layer first.
 
-        The first operator is the row slice ``adj[dst]`` over global
-        columns; each later one is ``adj[dst]`` with its column ids mapped
-        to positions in the previous layer's dst set. Row slicing keeps
-        every row's neighbour order, so each aggregate sums the same terms
-        in the same order as the full product.
+        A layer's operator is :func:`compact_layer` of its rows
+        ``adj[dst]``, exactly as for a sampled layer, and its ``src_ids``
+        (first appearance order) are the previous layer's dst set; the
+        input layer keeps the row slice over global columns. Both keep
+        every row's stored order, so each aggregate sums the same terms in
+        the same order as the full product.
         """
-        n = adj.shape[0]
-        seen = np.zeros(n, dtype=bool)
-        seen[rows] = True
-        dst, plan = rows, [(rows, adj[rows])]
+        dst, plan = rows, []
         for _ in self.convs[1:]:
-            nbrs = plan[-1][1].indices
-            fresh = np.unique(nbrs[~seen[nbrs]])
-            seen[fresh] = True
-            dst = np.concatenate([dst, fresh])
-            plan.append((dst, adj[dst]))
+            block = compact_layer(dst, adj[dst])
+            plan.append((dst, block.matrix))
+            dst = block.src_ids
+        plan.append((dst, adj[dst]))
         plan.reverse()
-        position = np.empty(n, dtype=adj.indices.dtype)
-        for i in range(1, len(plan)):
-            src, (dst, sub) = plan[i - 1][0], plan[i]
-            position[src] = np.arange(len(src), dtype=position.dtype)
-            plan[i] = (dst, sp.csr_matrix(
-                (sub.data, position[sub.indices], sub.indptr),
-                shape=(len(dst), len(src)),
-            ))
         return plan
 
     def forward_full(
@@ -210,7 +200,7 @@ class GraphSAGE(Module):
         if rows is None:
             plan = [(None, adj)] * len(self.convs)
         else:
-            plan = self._plan(adj, _check_node_ids(rows, n))
+            plan = self._plan(adj, check_node_ids(rows, n))
         for i, (conv, (dst, operator)) in enumerate(zip(self.convs, plan)):
             if self.dropout is not None:
                 x = self.dropout(x)

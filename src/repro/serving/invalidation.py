@@ -16,9 +16,10 @@ where :math:`H'_{j-1}` is the already-patched previous depth and
 :math:`\\sum_j |D_j|` rows instead of :math:`K \\cdot n` — the push-based
 dirty-set discipline the serving engine's recompute counters expose.
 
-Since :math:`D_1 \\subseteq \\cdots \\subseteq D_K`, the patch reads only rows
-:math:`D_K` of :math:`P'`, so the serving engine builds just those rows
-(:func:`repro.perf.row_operator`) instead of the whole new operator.
+The dirty sets are the levels of one :func:`repro.graph.traversal.expand`
+from ``{u, v}``, so :math:`D_1 \\subseteq \\cdots \\subseteq D_K` and the patch
+reads only rows :math:`D_K` of :math:`P'`: the serving engine builds just
+those rows (:func:`repro.perf.row_operator`), not the whole new operator.
 
 A patch is :func:`patched_rows` (compute, the stack untouched) then
 :func:`write_rows`; the serving engine runs the first beside its readers
@@ -35,8 +36,9 @@ import scipy.sparse as sp
 
 from repro.errors import ConfigError
 from repro.graph.dynamic import DynamicGraph
+from repro.graph.traversal import expand
 from repro.perf.propagation import rows_spmm
-from repro.utils.validation import check_int_range
+from repro.utils.validation import check_int_range, check_node_ids
 
 
 @dataclass(frozen=True)
@@ -79,28 +81,17 @@ class UpdateReport:
 def dirty_frontiers(
     dynamic: DynamicGraph, seeds: Iterable[int], k: int
 ) -> list[np.ndarray]:
-    """``[N_1, ..., N_k]``: nodes within ``j`` hops of ``seeds`` (inclusive).
+    """``[N_1, ..., N_k]``, each sorted: nodes within ``j`` hops of ``seeds``.
 
-    One level-synchronous BFS over the (post-insertion) CSR: each level
-    gathers the frontier's rows at once and keeps the unreached ids.
-    ``N_j`` is exactly the set of rows of :math:`P^j X` perturbed by an
-    update at the seed nodes.
+    Levels 1..k of :func:`repro.graph.traversal.expand` over the
+    (post-insertion) CSR: ``N_j`` is exactly the set of rows of
+    :math:`P^j X` perturbed by an update at the seeds (integer ids in
+    ``[0, n_nodes)``, else :class:`~repro.errors.GraphError`).
     """
     check_int_range("k", k, 0)
-    seeds = np.unique(np.asarray(list(seeds), dtype=np.int64))
-    n = dynamic.n_nodes
-    if len(seeds) and (seeds.min() < 0 or seeds.max() >= n):
-        raise ConfigError(f"seeds outside [0, {n})")
-    reached = np.zeros(n, dtype=bool)
-    reached[seeds] = True
-    frontier = seeds
-    levels: list[np.ndarray] = []
-    for _ in range(k):
-        ahead = dynamic.neighbors_of(frontier)
-        frontier = np.unique(ahead[~reached[ahead]])
-        reached[frontier] = True
-        levels.append(np.flatnonzero(reached))
-    return levels
+    seeds = np.unique(check_node_ids(list(seeds), dynamic.n_nodes))
+    levels = expand(dynamic.indptr, dynamic.indices, seeds, k)
+    return [np.sort(level) for level in levels[1:]]
 
 
 def patched_rows(

@@ -14,9 +14,9 @@ through:
   so one pipe object serves every epoch).
 * :class:`SamplePerLayer` / :class:`CompactPerLayer` — one pair per hop,
   mirroring GraphBolt's ``sample_per_layer``/``compact_per_layer``
-  datapipes: the sampler stage draws a raw
-  :class:`~repro.editing.sampling.LayerSample` for the current frontier,
-  the compact stage dedups its sources into a
+  datapipes: the sampler stage draws the current frontier's layer as a
+  CSR row block over global column ids, the compact stage dedups its
+  sources into a
   :class:`~repro.editing.sampling.Block` whose ``src_ids`` become the
   next layer's frontier. ``DataPipe.sample(sampler)`` chains the pairs,
   one per fanout — bit-identical to ``sampler.sample(seeds)`` given the
@@ -52,8 +52,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.editing.sampling import Block, LayerSample, compact_layer
+from repro.editing.sampling import Block, compact_layer
 from repro.errors import ConfigError
 from repro.obs import OBS
 from repro.utils.rng import as_rng
@@ -104,7 +105,7 @@ class MiniBatch:
     # Layered-sampling cursor: the current destination frontier and the
     # raw layer awaiting compaction (internal to the sample/compact pair).
     _frontier: np.ndarray | None = None
-    _pending: LayerSample | None = None
+    _pending: sp.csr_matrix | None = None
 
     @property
     def input_ids(self) -> np.ndarray:
@@ -264,7 +265,7 @@ class SamplePerLayer(DataPipe):
     """Draw the raw edges of one layer for the current frontier.
 
     The frontier starts at the batch seeds and advances to each compacted
-    layer's ``src_ids``; the raw :class:`LayerSample` is parked on the
+    layer's ``src_ids``; the raw CSR row block is parked on the
     minibatch for the paired :class:`CompactPerLayer` stage.
     """
 

@@ -1,13 +1,15 @@
 """Argument validation helpers shared across the library.
 
-All helpers raise :class:`repro.errors.ConfigError` with a message naming the
-offending parameter, so user mistakes surface at the API boundary rather than
-as obscure NumPy failures deep inside an algorithm.
+Helpers raise :class:`repro.errors.ConfigError` (node ids: ``GraphError``)
+naming the offending parameter, so user mistakes surface at the API boundary
+rather than as obscure NumPy failures deep inside an algorithm.
 """
 
 from __future__ import annotations
 
-from repro.errors import ConfigError
+import numpy as np
+
+from repro.errors import ConfigError, GraphError
 
 
 def check_positive(name: str, value: float, strict: bool = True) -> float:
@@ -41,3 +43,21 @@ def check_int_range(name: str, value: int, low: int, high: int | None = None) ->
         bound = f"[{low}, {high}]" if high is not None else f">= {low}"
         raise ConfigError(f"{name} must be {bound}, got {value}")
     return value
+
+
+def check_node_ids(ids, n_nodes: int) -> np.ndarray:
+    """``ids`` as a 1-D int64 array inside ``[0, n_nodes)``.
+
+    Fancy indexing would wrap a negative id through ``indptr[-1]`` and an
+    int64 cast would truncate a float, so both are rejected at the edge.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise GraphError(f"node ids must be one-dimensional, got shape {ids.shape}")
+    if ids.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if ids.dtype.kind not in "iu":
+        raise GraphError(f"node ids must be integers, got dtype {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= n_nodes:
+        raise GraphError(f"node ids outside [0, {n_nodes})")
+    return ids.astype(np.int64, copy=False)

@@ -409,6 +409,10 @@ class TestChaosKill:
         assert res.sync_rounds == 6
         assert res.degraded_rounds >= 1
         assert 0.0 <= res.test_accuracy <= 1.0
+        # The killed rank gathered before round 2: its copies still count.
+        assert res.attach_stats["copied_bytes"] == _gather_bytes(
+            graph, pr.assignment, 3
+        )
         # The chaos path must clean up exactly like the healthy one.
         assert glob.glob("/dev/shm/repro-dist-*") == []
 

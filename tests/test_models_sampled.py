@@ -5,7 +5,7 @@ import pytest
 
 from repro.editing.sampling import LaborSampler, NeighborSampler
 from repro.errors import ConfigError, GraphError, NotFittedError, ShapeError
-from repro.graph import Graph
+from repro.graph import Graph, k_hop_neighborhood
 from repro.models import SGC, GraphSAGE, NodeAdaptiveInference, PPRGo
 from repro.tensor import functional as F
 from repro.tensor.autograd import Tensor, no_grad, spmm
@@ -136,9 +136,23 @@ class TestRestrictedForward:
             assert np.array_equal(earlier[: len(later)], later)
             needed = set(adj[later].indices.tolist()) | set(later.tolist())
             assert set(earlier.tolist()) == needed
-            fresh = earlier[len(later):]
-            assert np.array_equal(fresh, np.unique(fresh))
-            assert not set(fresh.tolist()) & set(later.tolist())
+            # The new ids in order of first appearance in the rows' stored order.
+            known, order = set(later.tolist()), []
+            for v in adj[later].indices.tolist():
+                if v not in known:
+                    known.add(v)
+                    order.append(v)
+            assert earlier[len(later):].tolist() == order
+
+    @pytest.mark.parametrize("case", sorted(_ROWS_CASES))
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_input_frontier_is_the_k_hop_ball(self, graph, n_layers, case):
+        rows = _ROWS_CASES[case]
+        model, adj = self._model(n_layers), GraphSAGE.prepare(graph)
+        frontier = model.frontiers(adj, rows)[0]
+        assert set(frontier.tolist()) == set(
+            k_hop_neighborhood(graph, rows, n_layers - 1).tolist()
+        )
 
     def test_gradients_match_plain_layers(self, graph):
         # Reference: the same layers through SAGEConv.forward (plain Linear).

@@ -8,7 +8,6 @@ from repro.errors import ConfigError, GraphError
 from repro.editing.sampling import (
     HistoryCache,
     LaborSampler,
-    LayerSample,
     LayerSampler,
     NeighborSampler,
     aggregate_with_cache,
@@ -361,10 +360,16 @@ def _assert_same_arrays(got, want):
 
 
 def _assert_same_layer(got, want):
+    assert got.shape == want.shape
     _assert_same_arrays(
-        (got.rows, got.cols_global, got.vals),
-        (want.rows, want.cols_global, want.vals),
+        (got.indptr, got.indices, got.data),
+        (want.indptr, want.indices, want.data),
     )
+
+
+def _rows(layer):
+    """Each stored arc's row index, in stored order."""
+    return np.repeat(np.arange(layer.shape[0]), np.diff(layer.indptr))
 
 
 def _assert_same_block(got, want):
@@ -377,11 +382,10 @@ def _assert_same_block(got, want):
     )
 
 
-def _layer(rows, cols, vals=None):
-    rows = np.asarray(rows, dtype=np.int64)
+def _layer(n_rows, rows, cols, vals=None):
+    """A CSR row block over 1000 global ids; ``rows`` non-decreasing."""
     vals = np.ones(len(rows)) if vals is None else vals
-    return LayerSample(rows, np.asarray(cols, dtype=np.int64),
-                       np.asarray(vals, dtype=np.float64))
+    return reference._layer(rows, cols, vals, (n_rows, 1000))
 
 
 class TestCompactLayerOracle:
@@ -391,6 +395,7 @@ class TestCompactLayerOracle:
         n_ids, n_dst, nnz = 200, int(rng.integers(1, 40)), int(rng.integers(0, 300))
         dst = rng.permutation(n_ids)[:n_dst]
         layer = _layer(
+            n_dst,
             np.sort(rng.integers(0, n_dst, nnz)),
             rng.integers(0, n_ids, nnz),  # repeats, some inside dst
             rng.random(nnz),
@@ -411,7 +416,7 @@ class TestCompactLayerOracle:
         ],
     )
     def test_edge_cases_bitwise(self, dst, rows, cols):
-        dst, layer = np.asarray(dst, dtype=np.int64), _layer(rows, cols)
+        dst, layer = np.asarray(dst, dtype=np.int64), _layer(len(dst), rows, cols)
         got = compact_layer(dst, layer)
         _assert_same_block(got, reference.compact_layer(dst, layer))
         assert got.matrix.shape == (len(dst), len(got.src_ids))
@@ -433,7 +438,7 @@ class TestCompactLayerOracle:
 
     def test_negative_ids_rejected(self):
         with pytest.raises(GraphError):
-            compact_layer(np.array([0, 1]), _layer([0], [-1]))
+            compact_layer(np.array([0, 1]), _layer(2, [0], [-1]))
 
 
 class TestLaborOracle:
@@ -468,7 +473,7 @@ class TestLaborOracle:
             r = np.random.default_rng(seed).random(len(neigh))
             if (r > 1 / len(neigh)).all():
                 starved += 1
-                assert got.cols_global.tolist() == [neigh[np.argmin(r)]]
+                assert got.indices.tolist() == [neigh[np.argmin(r)]]
         assert starved >= 3
 
     def test_isolated_only_draws_nothing(self):
@@ -476,7 +481,8 @@ class TestLaborOracle:
         sampler = LaborSampler(graph, [2], seed=0)
         before = sampler._rng.bit_generator.state
         raw = sampler.sample_layer(np.array([3, 4, 2]), 0)
-        _assert_same_layer(raw, _layer([0, 1, 2], [3, 4, 2]))
+        want = reference._layer([0, 1, 2], [3, 4, 2], np.ones(3), (3, 5))
+        _assert_same_layer(raw, want)
         assert sampler._rng.bit_generator.state == before
 
 
@@ -490,18 +496,19 @@ class TestNeighborSamplerStructure:
             graph, dst, fanout, np.random.default_rng(seed)
         )
         deg = graph.degrees().astype(np.int64)[dst]
-        count = np.bincount(raw.rows, minlength=len(dst))
+        rows, want_rows = _rows(raw), _rows(want)
+        count = np.bincount(rows, minlength=len(dst))
         assert np.array_equal(count, np.maximum(np.minimum(deg, fanout), 1))
-        assert np.all(np.diff(raw.rows) >= 0)  # grouped by destination
-        pairs = np.stack([raw.rows, raw.cols_global], axis=1)
+        assert raw.shape == (len(dst), graph.n_nodes)
+        pairs = np.stack([rows, raw.indices], axis=1)
         assert len(np.unique(pairs, axis=0)) == len(pairs)
-        assert np.array_equal(raw.vals, 1.0 / count[raw.rows])
+        assert np.array_equal(raw.data, 1.0 / count[rows])
         for i, u in enumerate(dst):
-            cols = raw.cols_global[raw.rows == i]
+            cols = raw.indices[rows == i]
             if deg[i] == 0:
                 assert cols.tolist() == [u]
             elif deg[i] <= fanout:  # nothing to draw: the loop's exact output
-                assert np.array_equal(cols, want.cols_global[want.rows == i])
+                assert np.array_equal(cols, want.indices[want_rows == i])
             else:
                 assert np.isin(cols, graph.neighbors(int(u))).all()
 
@@ -514,7 +521,7 @@ class TestNeighborSamplerStructure:
         )
         n = ba_graph.n_nodes
         hits = np.bincount(
-            nodes[raw.rows // n_draws] * n + raw.cols_global, minlength=n * n
+            nodes[_rows(raw) // n_draws] * n + raw.indices, minlength=n * n
         ).reshape(n, n)
         for u in nodes:
             p = fanout / deg[u]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import contextual_sbm
-from repro.distributed import LeasePolicy, Supervisor, get_backend
+from repro.distributed import LeasePolicy, Supervisor, build_shard_plan, get_backend
 from repro.distributed.supervisor import (
     LEASE_CELLS,
     LEASE_ROUND,
@@ -55,6 +55,13 @@ def baseline(dataset, partitioned):
 
 def _leftover_segments() -> list[str]:
     return glob.glob("/dev/shm/repro-dist-*")
+
+
+def _gather_bytes(graph, assignment, n_parts: int) -> list[int]:
+    """Per rank, what one incarnation's local gather copies: float64
+    feature rows plus int64 labels of its owned and ghost nodes."""
+    plan = build_shard_plan(graph, assignment, n_parts)
+    return [s.n_local * (graph.n_features + 1) * 8 for s in plan.shards]
 
 
 # ---------------------------------------------------------------------- #
@@ -366,6 +373,9 @@ class TestSupervisedBackend:
         assert chaos.recovery_latency_s > 0.0
         assert chaos.param_checksum == baseline.param_checksum
         assert chaos.test_accuracy == pytest.approx(baseline.test_accuracy)
+        # Rank 1 gathered twice: the killed incarnation and its successor.
+        gathers = _gather_bytes(graph, partitioned.assignment, 3)
+        assert chaos.attach_stats["copied_bytes"] == sum(gathers) + gathers[1]
         assert not _leftover_segments()
 
     def test_evict_policy_renormalises_over_survivors(
@@ -387,6 +397,10 @@ class TestSupervisedBackend:
         assert res.evictions == 1
         assert res.respawns == 0
         assert res.workers_lost == 1
+        # The evicted rank's one gather ran before the kill and counts.
+        assert res.attach_stats["copied_bytes"] == sum(
+            _gather_bytes(graph, partitioned.assignment, 3)
+        )
         assert not _leftover_segments()
 
     def test_timeout_diagnostics_name_heartbeats_and_rounds(

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import reference_samplers as reference
+from repro.editing import NeighborSampler, ego_subgraph
 from repro.errors import GraphError
 from repro.graph import (
     Graph,
@@ -15,6 +17,10 @@ from repro.graph import (
     ring_graph,
     shortest_path_distance,
 )
+from repro.graph.dynamic import DynamicGraph
+from repro.graph.traversal import expand
+from repro.models import GraphSAGE
+from repro.serving import dirty_frontiers
 
 
 class TestBfsDistances:
@@ -104,3 +110,99 @@ class TestKHopNeighborhood:
 
     def test_multiple_seeds(self, path4):
         assert np.array_equal(k_hop_neighborhood(path4, [0, 3], 1), [0, 1, 2, 3])
+
+
+def _random_graph(seed, directed):
+    """60 nodes, ~120 random arcs among the first 50; 50..59 isolated."""
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, 50, size=(120, 2))
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    return Graph.from_edges(edges, 60, directed=directed)
+
+
+def _bfs_in_order(graph, seeds, k):
+    """Per-element ``expand``: each hop scans the previous hop's new ids in
+    order, their rows in stored order, and appends every unseen id."""
+    levels = [list(map(int, seeds))]
+    seen, frontier = set(levels[0]), levels[0]
+    for _ in range(k):
+        fresh = []
+        for u in frontier:
+            for v in map(int, graph.neighbors(u)):
+                if v not in seen:
+                    seen.add(v)
+                    fresh.append(v)
+        levels.append(levels[-1] + fresh)
+        frontier = fresh
+    return levels
+
+
+class TestExpandOracle:
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_node_bfs(self, seed, directed):
+        graph = _random_graph(seed, directed)
+        rng = np.random.default_rng(100 + seed)
+        # Duplicate seeds, and isolated seeds (ids >= 50) on some draws.
+        seeds = rng.integers(0, 60, size=int(rng.integers(1, 7)))
+        seeds = np.concatenate([seeds, seeds[:2]])
+        for k in range(5):
+            levels = expand(graph.indptr, graph.indices, seeds, k)
+            assert len(levels) == k + 1
+            assert np.array_equal(levels[0], seeds)
+            for earlier, later in zip(levels, levels[1:]):
+                assert np.array_equal(later[: len(earlier)], earlier)
+            assert [lv.tolist() for lv in levels] == _bfs_in_order(graph, seeds, k)
+            assert np.array_equal(
+                np.unique(levels[-1]), reference.k_hop_neighborhood(graph, seeds, k)
+            )
+            assert np.array_equal(
+                k_hop_neighborhood(graph, seeds, k),
+                reference.k_hop_neighborhood(graph, seeds, k),
+            )
+
+    def test_empty_seeds(self, ba_graph):
+        levels = expand(ba_graph.indptr, ba_graph.indices, np.empty(0, np.int64), 3)
+        assert [len(level) for level in levels] == [0, 0, 0, 0]
+        assert len(k_hop_neighborhood(ba_graph, [], 2)) == 0
+
+    def test_isolated_seed_never_grows(self):
+        graph = _random_graph(0, False)
+        levels = expand(graph.indptr, graph.indices, np.array([55]), 4)
+        assert [level.tolist() for level in levels] == [[55]] * 5
+
+
+_N = 5
+
+
+def _five_node_entry_points():
+    graph = path_graph(_N).with_data(
+        x=np.random.default_rng(0).normal(size=(_N, 3)), y=np.zeros(_N, int)
+    )
+    model, adj = GraphSAGE(3, 4, 2, n_layers=2, seed=0), GraphSAGE.prepare(graph)
+    return {
+        "k_hop_neighborhood": lambda ids: k_hop_neighborhood(graph, ids, 1),
+        "ego_subgraph": lambda ids: ego_subgraph(
+            graph, ids[0] if isinstance(ids, list) else ids, 1
+        ),
+        "dirty_frontiers": lambda ids: dirty_frontiers(
+            DynamicGraph.from_graph(graph), ids, 1
+        ),
+        "NeighborSampler.sample": lambda ids: NeighborSampler(
+            graph, [2], seed=0
+        ).sample(np.asarray(ids)),
+        "GraphSAGE.frontiers": lambda ids: model.frontiers(adj, ids),
+        "GraphSAGE.forward_full": lambda ids: model.forward_full(adj, graph.x, ids),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_five_node_entry_points()))
+@pytest.mark.parametrize(
+    "bad",
+    [[-1], [_N], [1.7], [True], np.array([[1]])],
+    ids=["negative", "n", "float", "bool", "two_d"],
+)
+def test_frontier_entry_points_reject_bad_node_ids(entry, bad):
+    call = _five_node_entry_points()[entry]
+    with pytest.raises(GraphError):
+        call(bad)

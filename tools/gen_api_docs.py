@@ -208,7 +208,7 @@ The canonical chain and what each stage owns:
 | stage | name | transform |
 |---|---|---|
 | `SeedBatcher` | `batch` | lazy permutation → `MiniBatch(seeds, index)` |
-| `SamplePerLayer` | `sample` | raw `LayerSample` for the current frontier |
+| `SamplePerLayer` | `sample` | the frontier's layer as a CSR row block over global column ids (`scipy.sparse.csr_matrix`, `(len(frontier), n_nodes)`) |
 | `CompactPerLayer` | `compact` | dedup into a `Block`; frontier ← `src_ids` |
 | `FeatureFetcher` | `fetch` | gather `input_ids` rows (direct or via `FeatureStore.gather`), attach labels |
 | `ToDevice` | `finalize` | dtype cast + C-contiguous layout |
