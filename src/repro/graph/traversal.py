@@ -77,39 +77,42 @@ def _expand(graph, frontier, seen_self, seen_other, depth) -> int | None:
 
 
 def bfs_tree(graph: Graph, source: int) -> np.ndarray:
-    """BFS parent array (parent of the source is itself; -1 unreachable)."""
+    """BFS parent array (parent of the source is itself; -1 unreachable).
+
+    One :func:`neighbors_of` gather per level: a node's parent is the first
+    frontier node, in discovery order, whose CSR row holds it — the parent
+    a FIFO queue over stored rows assigns.
+    """
+    if not 0 <= source < graph.n_nodes:
+        raise GraphError(f"source {source} outside [0, {graph.n_nodes})")
+    indptr, indices = graph.indptr, graph.indices
     parent = np.full(graph.n_nodes, UNREACHED, dtype=np.int64)
     parent[source] = source
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            v = int(v)
-            if parent[v] == UNREACHED:
-                parent[v] = u
-                queue.append(v)
+    frontier = np.array([source], dtype=np.int64)
+    while len(frontier):
+        neigh = neighbors_of(indptr, indices, frontier)
+        owner = np.repeat(frontier, indptr[frontier + 1] - indptr[frontier])
+        fresh = parent[neigh] == UNREACHED
+        neigh, owner = neigh[fresh], owner[fresh]
+        first = np.sort(np.unique(neigh, return_index=True)[1])
+        frontier = neigh[first]
+        parent[frontier] = owner[first]
     return parent
 
 
 def connected_components(graph: Graph) -> np.ndarray:
-    """Component id per node (directed graphs use weak connectivity)."""
-    g = graph.to_undirected() if graph.directed else graph
-    comp = np.full(g.n_nodes, UNREACHED, dtype=np.int64)
-    cid = 0
-    for start in range(g.n_nodes):
-        if comp[start] != UNREACHED:
-            continue
-        comp[start] = cid
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                v = int(v)
-                if comp[v] == UNREACHED:
-                    comp[v] = cid
-                    queue.append(v)
-        cid += 1
-    return comp
+    """Component id per node (directed graphs use weak connectivity).
+
+    Components are numbered in order of their smallest node id.
+    """
+    # Imported here: scipy.sparse.csgraph pulls in scipy.sparse.linalg,
+    # about 10 MB resident that no other module of the package needs.
+    from scipy.sparse import csgraph
+
+    _, labels = csgraph.connected_components(
+        graph.adjacency(), directed=True, connection="weak"
+    )
+    return labels.astype(np.int64)
 
 
 def segment_arange(counts: np.ndarray) -> np.ndarray:

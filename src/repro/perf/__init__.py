@@ -19,8 +19,9 @@ that reuse concrete:
   pool of dense scratch buffers rented by the serving batch workers.
 * :mod:`repro.perf.propagation` — :class:`PropagationEngine`, K-hop SpMM
   with memoized hop stacks, the shared ``propagate(graph, X, K, kind)``
-  entry point of every decoupled model; ``spmm``/``rows_spmm`` wrap
-  scipy's product in the ``propagation.hop`` fault site, and
+  entry point of every decoupled model; ``spmm`` (scipy's CSR kernel
+  over nnz-balanced row bands, :mod:`repro.utils.bands`) and
+  ``rows_spmm`` wrap the product in the ``propagation.hop`` fault site, and
   ``row_operator`` builds chosen rows of an engine operator uncached.
 """
 

@@ -8,10 +8,16 @@ that asks — SGC, SIGN, GAMLP, LD2, KRR and the spectral filters all go
 through :meth:`PropagationEngine.propagate`, so repeat experiments on the
 same graph pay zero additional SpMM cost.
 
-Every hop is scipy's ``operator @ dense`` on the cached, materialized
-operator: aggregation is memory-bound, and the single pass over the
-operator's non-zeros moves fewer bytes than any scheme that re-derives
-the normalization per hop. :func:`spmm` and :func:`rows_spmm` wrap that
+Every hop is scipy's CSR kernel on the cached, materialized operator:
+aggregation is memory-bound, and the single pass over the operator's
+non-zeros moves fewer bytes than any scheme that re-derives the
+normalization per hop. :func:`spmm` runs that kernel through
+:func:`repro.utils.bands.banded_matmul`: above
+:data:`~repro.utils.bands.BAND_MIN_WORK` the operator's rows are split
+into one nnz-balanced band per CPU, each band a ``csr_matvecs`` call into
+its slice of one output on its own thread, bitwise ``operator @ dense``;
+below it (and for non-CSR or mixed-dtype operands) the hop is
+``operator @ dense`` itself. :func:`spmm` and :func:`rows_spmm` wrap the
 product in the ``propagation.hop`` fault-injection site.
 
 The engine is dtype-aware end to end: ``PropagationEngine(dtype=...)``
@@ -44,6 +50,7 @@ from repro.perf.operator_cache import (
 )
 from repro.resilience.faults import FAULTS
 from repro.storage.feature_cache import CacheStats
+from repro.utils.bands import band_count, banded_matmul
 from repro.utils.validation import check_int_range
 
 #: Element types a propagated hop stack may take.
@@ -116,9 +123,17 @@ def _apply_hop_fault(inj, action, out: np.ndarray) -> np.ndarray:
 
 
 def spmm(operator: sp.spmatrix, dense: np.ndarray) -> np.ndarray:
-    """``operator @ dense`` under the ``propagation.hop`` fault site."""
+    """``operator @ dense`` under the ``propagation.hop`` fault site.
+
+    The one hop entry. The product is
+    :func:`~repro.utils.bands.banded_matmul`: scipy's own CSR kernel over
+    :func:`~repro.utils.bands.band_count` nnz-balanced row bands, bitwise
+    ``operator @ dense`` (which it is, literally, below
+    :data:`~repro.utils.bands.BAND_MIN_WORK`). The fault site fires once
+    per hop, and ``corrupt``/``drop`` act on the whole output.
+    """
     inj, action = _fire_hop_fault()
-    return _apply_hop_fault(inj, action, operator @ np.asarray(dense))
+    return _apply_hop_fault(inj, action, banded_matmul(operator, np.asarray(dense)))
 
 
 def rows_spmm(
@@ -238,7 +253,10 @@ class PropagationEngine:
         is not)."""
         if not OBS.enabled:
             return spmm(operator, dense)
-        with OBS.tracer.span("perf.spmm", hop=hop, nnz=int(operator.nnz)) as span:
+        with OBS.tracer.span(
+            "perf.spmm", hop=hop, nnz=int(operator.nnz),
+            bands=band_count(operator, dense),
+        ) as span:
             out = spmm(operator, dense)
             span.set(out_bytes=int(out.nbytes))
         return out

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import ShapeError
+from repro.utils.bands import banded_matmul
 
 _GRAD_ENABLED = [True]
 
@@ -380,14 +381,16 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     computation; gradients flow only into ``dense`` as ``matrix.T @ grad``.
     The transpose is built when a gradient arrives, so inference under
     :func:`no_grad` and operands that require none never pay for it.
-    This is the core primitive of message-passing GNN layers.
+    This is the core primitive of message-passing GNN layers. Both products
+    run through :func:`repro.utils.bands.banded_matmul`, bitwise
+    ``mat @ dense``.
     """
     if not sp.issparse(matrix):
         raise TypeError("spmm expects a SciPy sparse matrix")
     mat = matrix.tocsr()
-    out_data = mat @ dense.data
+    out_data = banded_matmul(mat, dense.data)
 
     def backward(grad: np.ndarray) -> None:
-        dense._accumulate(mat.T.tocsr() @ grad, owned=True)
+        dense._accumulate(banded_matmul(mat.T.tocsr(), grad), owned=True)
 
     return Tensor._make(out_data, (dense,), backward)

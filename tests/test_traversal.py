@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_samplers as reference
+import reference_traversal
 from repro.editing import NeighborSampler, ego_subgraph
 from repro.errors import GraphError
 from repro.graph import (
@@ -206,3 +207,45 @@ def test_frontier_entry_points_reject_bad_node_ids(entry, bad):
     call = _five_node_entry_points()[entry]
     with pytest.raises(GraphError):
         call(bad)
+
+
+def _oracle_graphs():
+    """Seeded directed, undirected and disconnected graphs (the random
+    ones leave nodes 50..59 isolated and split the rest several ways)."""
+    graphs = [Graph.from_edges([(0, 1), (2, 3), (5, 4)], 7),
+              Graph.from_edges([(3, 0), (1, 3), (6, 5)], 7, directed=True)]
+    for seed in range(4):
+        for directed in (False, True):
+            graphs.append(_random_graph(seed, directed))
+    graphs.append(grid_graph(4, 5))
+    return graphs
+
+
+class TestTraversalOracles:
+    """The vectorised loops equal the per-node FIFO loops they replaced."""
+
+    @pytest.mark.parametrize("graph", _oracle_graphs())
+    def test_connected_components_match_queue_loop(self, graph):
+        got = connected_components(graph)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_traversal.connected_components(graph))
+
+    @pytest.mark.parametrize("graph", _oracle_graphs())
+    def test_bfs_tree_matches_queue_loop(self, graph):
+        for source in range(0, graph.n_nodes, 3):
+            assert np.array_equal(
+                bfs_tree(graph, source),
+                reference_traversal.bfs_tree(graph, source),
+            )
+
+    def test_bfs_tree_on_ba_graph(self, ba_graph):
+        for source in (0, 7, ba_graph.n_nodes - 1):
+            assert np.array_equal(
+                bfs_tree(ba_graph, source),
+                reference_traversal.bfs_tree(ba_graph, source),
+            )
+
+    def test_bfs_tree_invalid_source(self, triangle):
+        with pytest.raises(GraphError):
+            bfs_tree(triangle, 3)
+
