@@ -103,7 +103,10 @@ def bfs_tree(graph: Graph, source: int) -> np.ndarray:
 def connected_components(graph: Graph) -> np.ndarray:
     """Component id per node (directed graphs use weak connectivity).
 
-    Components are numbered in order of their smallest node id.
+    Connectivity is structural: every stored arc joins its ends, whatever
+    its weight (zero and negative weights included), as :func:`bfs_tree`
+    and :func:`bfs_distances` walk them. Components are numbered in order
+    of their smallest node id.
     """
     # Imported here: scipy.sparse.csgraph pulls in scipy.sparse.linalg,
     # about 10 MB resident that no other module of the package needs.

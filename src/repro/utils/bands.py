@@ -29,14 +29,17 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 #: Work (stored entries × dense columns) below which a product stays one
-#: ``operator @ dense`` call. Each extra band pays a thread start and join
-#: (about 80 µs). Measured crossover on a 2-vCPU VM, degree-skewed CSR,
-#: d=64, two bands against one: 1.70x slower at 0.35M, 1.10x at 4.3M,
-#: 1.02x at 8.7M, 0.96–1.03x at 17M; at the 300k-node macro shape (3.9M
-#: nnz, about 250M) 0.53–0.58x when the second vCPU was free. 2**24
-#: (about 16.8M) sits at that crossover and keeps sampled training blocks
-#: (about 25k arcs × 64, 1.6M) and every tier-1 graph single-call.
-BAND_MIN_WORK = 1 << 24
+#: ``operator @ dense`` call. Measured on a 2-vCPU VM, the macro
+#: generator's GCN operator at d=64, two bands against one (median of 11
+#: interleaved runs): 1.03x at 50k nodes (42M), 0.98x at 100k (83M), then
+#: 0.41x at 120k (100M), 0.44–0.48x at 150k (125M) and 0.80x at 300k
+#: (250M); two bands won 11 of 11 runs from 100M up. The step sits where
+#: one band's time jumps (93–168 ms at 83M, 254 ms at 100M) as the
+#: gathered feature rows outgrow the cache. 90M lies in that gap: the
+#: 50k-node serving and 100k-node sampled hops, where bands measured
+#: neutral, stay single-call, as do sampled training blocks (about 25k
+#: arcs × 64, 1.6M) and every tier-1 graph.
+BAND_MIN_WORK = 90_000_000
 
 _csr_matvecs = _sparsetools.csr_matvecs
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
@@ -85,30 +88,26 @@ def band_bounds(indptr: np.ndarray, bands: int) -> np.ndarray:
     return np.concatenate([[0], inner, [len(indptr) - 1]])
 
 
-def banded_matmul(operator, dense: np.ndarray, bounds=None) -> np.ndarray:
+def banded_matmul(operator, dense: np.ndarray) -> np.ndarray:
     """``operator @ dense``, run as one scipy kernel call per row band.
 
-    ``bounds`` (non-decreasing row boundaries from 0 to the row count)
-    fixes the bands; by default :func:`band_count` picks their number and
-    :func:`band_bounds` balances them by non-zeros. Operands scipy would
-    not send to ``csr_matvecs`` (another format, a 1-D or one-column or
-    mixed-dtype operand) and a default split of one band are plain
+    :func:`band_count` picks the number of bands and :func:`band_bounds`
+    balances them by non-zeros. Operands scipy would not send to
+    ``csr_matvecs`` (another format, a 1-D or one-column or mixed-dtype
+    operand) and products below :data:`BAND_MIN_WORK` are plain
     ``operator @ dense``.
     """
-    if bounds is None:
-        bands = band_count(operator, dense)
-        if bands == 1:
-            return operator @ dense
-        bounds = band_bounds(operator.indptr, bands)
-    elif not _bandable(operator, dense):
+    bands = band_count(operator, dense)
+    if bands == 1:
         return operator @ dense
+    return _run_bands(operator, dense, band_bounds(operator.indptr, bands))
+
+
+def _run_bands(operator, dense: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """One ``csr_matvecs`` call per band ``[bounds[b], bounds[b + 1])`` of a
+    bandable product, band 0 on the caller and the others on threads
+    joined before return."""
     n_rows, n_cols = operator.shape
-    bounds = np.asarray(bounds, dtype=np.int64)
-    if (len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n_rows
-            or np.any(np.diff(bounds) < 0)):
-        raise ValueError(
-            f"bounds must rise from 0 to {n_rows}, got {bounds.tolist()}"
-        )
     n_vecs = dense.shape[1]
     indptr, indices, data = operator.indptr, operator.indices, operator.data
     # scipy's own preparation: a C-ordered copy of the dense operand when

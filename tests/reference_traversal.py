@@ -5,6 +5,14 @@ before :func:`~repro.graph.traversal.bfs_tree` became a level-by-level
 gather and :func:`~repro.graph.traversal.connected_components` a call to
 ``scipy.sparse.csgraph``, kept verbatim so the vectorised code stays
 pinned to them (equal output arrays). Never imported from ``src/``.
+
+One case differs: this :func:`connected_components` symmetrises a
+directed graph through ``Graph.to_undirected()``, which keeps
+``max(w(u, v), w(v, u))`` and drops arcs that come out at zero, so a
+zero-weight arc, or a negative one without a positive reverse, joins
+nothing here while the library's structural connectivity joins its ends.
+The oracle comparison uses unit weights; the weighted case is pinned in
+``test_traversal.py`` on its own.
 """
 
 from collections import deque

@@ -92,6 +92,18 @@ class TestConnectedComponents:
         comp = connected_components(g)
         assert comp[0] == comp[1]
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_any_stored_arc_connects(self, weight):
+        # Structural connectivity: an arc joins its ends whatever its
+        # weight, directed or not (the queue-loop oracle, which goes
+        # through to_undirected(), leaves these ends apart).
+        edges = [(0, 1), (3, 2)]
+        for directed in (True, False):
+            g = Graph.from_edges(edges, 5, weights=[weight, 1.0], directed=directed)
+            assert connected_components(g).tolist() == [0, 0, 1, 1, 2]
+        directed = Graph.from_edges(edges, 5, weights=[weight, 1.0], directed=True)
+        assert reference_traversal.connected_components(directed).tolist() == [0, 1, 2, 2, 3]
+
 
 class TestKHopNeighborhood:
     def test_zero_hops_is_seeds(self, ba_graph):
